@@ -2,14 +2,14 @@
 
 Registers benign populations at the 10^4/10^5/10^6 strata (10^6 rides
 behind ``--slow``; ``--quick`` keeps only 10^4), breaches a sequence
-of sites against the cross-site reuse model, and replays the same
-planned waves through both dispatch paths of the
-:class:`~repro.attacker.stuffing.StuffingEngine`:
+of sites against the cross-site reuse model, plans the waves with the
+:class:`~repro.attacker.stuffing.StuffingEngine`, and replays the same
+planned waves two ways:
 
 - **per-event**: ``EmailProvider.attempt_login`` once per stuffed
-  credential — the scalar oracle;
+  credential, looped here — the per-event reference;
 - **batched**: the same wave columns through
-  ``EmailProvider.attempt_logins``.
+  ``StuffingEngine.dispatch_batch`` (``EmailProvider.attempt_logins``).
 
 Stuffing traffic is the batch engine's worst historical case — it is
 failure-heavy (every non-reuser is a BAD_PASSWORD), which the clean-
@@ -40,8 +40,10 @@ import time
 
 from repro.attacker.breach import BreachMethod
 from repro.attacker.stuffing import StuffingEngine, build_benign_corpus
-from repro.email_provider.provider import EmailProvider
+from repro.email_provider.provider import RESULT_CODES, EmailProvider
+from repro.email_provider.telemetry import METHOD_ORDER
 from repro.identity.reuse import CrossSiteReuseModel
+from repro.net.ipaddr import IPv4Address
 from repro.sim.clock import SimClock
 from repro.traffic import BenignPopulation
 from repro.util.rngtree import RngTree
@@ -121,6 +123,20 @@ def plan_campaign(engine: StuffingEngine, model, users: int):
     return waves
 
 
+def dispatch_per_event(provider: EmailProvider, batch) -> bytearray:
+    """Scalar reference: one attempt_login call per stuffed credential."""
+    attempt_login = provider.attempt_login
+    keys, passwords = batch.keys, batch.passwords
+    ips, methods = batch.ips, batch.methods
+    results = bytearray()
+    for i in range(len(keys)):
+        result = attempt_login(
+            keys[i], passwords[i], IPv4Address(ips[i]), METHOD_ORDER[methods[i]]
+        )
+        results.append(RESULT_CODES[result])
+    return results
+
+
 def run_campaign(provider, engine, waves, batched: bool):
     """Dispatch every wave; returns (seconds, results, wave records).
 
@@ -137,7 +153,10 @@ def run_campaign(provider, engine, waves, batched: bool):
         provider.evict_expired()
         results = bytearray()
         for batch in wave.batches:
-            results.extend(engine.dispatch_batch(batch, batched))
+            if batched:
+                results.extend(engine.dispatch_batch(batch))
+            else:
+                results.extend(dispatch_per_event(provider, batch))
         records.append(engine.collect(wave, results))
         all_results.extend(results)
     return time.perf_counter() - started, all_results, records

@@ -19,7 +19,7 @@ mirror of the benign traffic stack:
   provider-side wave through
   :meth:`~repro.email_provider.provider.EmailProvider.attempt_logins`
   in bounded :class:`~repro.email_provider.batch.LoginBatch` columns,
-  with the scalar per-event path kept as the equivalence oracle;
+  whose scalar oracle is the batch engine's own serial loop;
 - cross-site fan-out against non-provider targets is resolved from
   the reuse model directly (site T accepts the site-S password iff
   the user is an EXACT reuser — modulo deliberate derived-suffix
@@ -27,13 +27,13 @@ mirror of the benign traffic stack:
   analysis consumes.
 
 Wave planning is **dispatch-independent**: every event column (user,
-password, source IP, method) is fully generated before the
-batched/per-event choice is consulted, so journal bytes cannot reveal
-which engine authenticated a wave.  Per-wave randomness draws from
-``rng_tree.child("stuffing", str(wave))`` — one namespaced stream per
-wave index, so waves are order-independent under resume.  Draw order
-inside a wave is part of the contract: per-event source IP, then the
-per-event method column.
+password, source IP, method) is fully generated before any batch is
+authenticated, so journal bytes cannot reveal which path of the batch
+engine (vectorized or scalar oracle) authenticated a wave.  Per-wave
+randomness draws from ``rng_tree.child("stuffing", str(wave))`` — one
+namespaced stream per wave index, so waves are order-independent
+under resume.  Draw order inside a wave is part of the contract:
+per-event source IP, then the per-event method column.
 """
 
 from __future__ import annotations
@@ -43,18 +43,14 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.attacker.breach import BreachMethod
 from repro.email_provider.batch import LoginBatch
-from repro.email_provider.telemetry import METHOD_CODES, METHOD_ORDER, LoginMethod
+from repro.email_provider.telemetry import METHOD_CODES, LoginMethod
 from repro.identity.reuse import CrossSiteReuseModel
-from repro.net.ipaddr import IPv4Address
 from repro.util.rngtree import RngTree
 from repro.util.timeutil import SimInstant
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    np = None
 
 #: Stuffing proxies live in 46.0.0.0/8 — disjoint from the benign
 #: population's 96.0.0.0/3 home/roaming space, so source-IP analysis
@@ -131,13 +127,8 @@ def build_benign_corpus(
     members = model.members(site_rank, universe)
     if method is BreachMethod.DB_DUMP and crack_rate < 1.0:
         mask = model.cracked_mask(members, site_rank, crack_rate)
-        if np is not None and isinstance(mask, np.ndarray):
-            kept = array("q")
-            kept.frombytes(
-                np.frombuffer(members, dtype=np.int64)[mask].tobytes()
-            )
-        else:
-            kept = array("q", (u for u, hit in zip(members, mask) if hit))
+        kept = array("q")
+        kept.frombytes(np.frombuffer(members, dtype=np.int64)[mask].tobytes())
         members = kept
     passwords = model.site_passwords(members, site_rank)
     return BreachCorpus(
@@ -155,34 +146,18 @@ def _intersect_sorted(a: array, b: array) -> array:
     """Sorted-array intersection as a ``searchsorted`` membership probe.
 
     ``a`` and ``b`` are sorted ``array('q')`` columns; returns the
-    sorted intersection.  The numpy path probes ``a`` into ``b``
-    (``np.isin`` deliberately avoided — its sort path concatenates
-    both columns and lazily imports ``numpy.ma`` mid-hot-loop); the
-    pure-python fallback is the classic two-pointer merge and serves
-    as the join's equivalence oracle.
+    sorted intersection, probing ``a`` into ``b`` (``np.isin``
+    deliberately avoided — its sort path concatenates both columns and
+    lazily imports ``numpy.ma`` mid-hot-loop).
     """
     out = array("q")
     if not len(a) or not len(b):
         return out
-    if np is not None:
-        a_np = np.frombuffer(a, dtype=np.int64)
-        b_np = np.frombuffer(b, dtype=np.int64)
-        idx = np.searchsorted(b_np, a_np)
-        idx[idx == len(b_np)] = 0  # out-of-range probes can't match
-        out.frombytes(a_np[b_np[idx] == a_np].tobytes())
-        return out
-    i = j = 0
-    append = out.append
-    while i < len(a) and j < len(b):
-        av, bv = a[i], b[j]
-        if av == bv:
-            append(av)
-            i += 1
-            j += 1
-        elif av < bv:
-            i += 1
-        else:
-            j += 1
+    a_np = np.frombuffer(a, dtype=np.int64)
+    b_np = np.frombuffer(b, dtype=np.int64)
+    idx = np.searchsorted(b_np, a_np)
+    idx[idx == len(b_np)] = 0  # out-of-range probes can't match
+    out.frombytes(a_np[b_np[idx] == a_np].tobytes())
     return out
 
 
@@ -202,7 +177,7 @@ class StuffingWave:
     ``users`` is the provider-candidate column (sorted, parallel to
     the concatenated batch columns); ``batches`` group the same events
     into bounded :class:`LoginBatch` items without reordering them, so
-    batch size — like the dispatch path — never shapes the journal.
+    batch size never shapes the journal.
     """
 
     wave: int
@@ -372,33 +347,11 @@ class StuffingEngine:
     # -- dispatch ----------------------------------------------------------
 
     def dispatch_batch(
-        self, batch: LoginBatch, batched: bool, now: SimInstant | None = None
+        self, batch: LoginBatch, now: SimInstant | None = None
     ) -> bytearray:
-        """Authenticate one wave batch; returns per-event result codes.
-
-        ``batched`` selects the vectorized engine or the per-event
-        oracle; the codes — and every provider state transition — are
-        identical either way (the batch engine's contract).
-        """
-        provider = self._provider
-        if batched:
-            return provider.attempt_logins(batch, now=now).results
-        from repro.email_provider.provider import RESULT_CODES
-
-        attempt_login = provider.attempt_login
-        keys, passwords = batch.keys, batch.passwords
-        ips, methods = batch.ips, batch.methods
-        results = bytearray()
-        results_append = results.append
-        for i in range(len(keys)):
-            result = attempt_login(
-                keys[i],
-                passwords[i],
-                IPv4Address(ips[i]),
-                METHOD_ORDER[methods[i]],
-            )
-            results_append(RESULT_CODES[result])
-        return results
+        """Authenticate one wave batch through the provider's batch
+        engine; returns per-event result codes."""
+        return self._provider.attempt_logins(batch, now=now).results
 
     def collect(self, wave: StuffingWave, results: bytearray) -> StuffingWaveResult:
         """Fold one wave's result codes into its dispatch-independent
@@ -406,16 +359,9 @@ class StuffingEngine:
         successes = results.count(0)
         hit_users = array("q")
         if successes:
-            if np is not None and len(results) == len(wave.users):
-                results_np = np.frombuffer(results, dtype=np.uint8)
-                users_np = np.frombuffer(wave.users, dtype=np.int64)
-                hit_users.frombytes(users_np[results_np == 0].tobytes())
-            else:
-                hit_users.extend(
-                    u
-                    for u, code in zip(wave.users, results)
-                    if code == 0
-                )
+            results_np = np.frombuffer(results, dtype=np.uint8)
+            users_np = np.frombuffer(wave.users, dtype=np.int64)
+            hit_users.frombytes(users_np[results_np == 0].tobytes())
         corpus = wave.corpus
         self.waves += 1
         self.attempts += len(results)
@@ -436,13 +382,10 @@ class StuffingEngine:
         )
 
     def execute_wave(
-        self,
-        wave: StuffingWave,
-        batched: bool = True,
-        now: SimInstant | None = None,
+        self, wave: StuffingWave, now: SimInstant | None = None
     ) -> StuffingWaveResult:
         """Dispatch a whole planned wave (bench/test convenience)."""
         results = bytearray()
         for batch in wave.batches:
-            results.extend(self.dispatch_batch(batch, batched, now=now))
+            results.extend(self.dispatch_batch(batch, now=now))
         return self.collect(wave, results)

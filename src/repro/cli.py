@@ -162,11 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stuffing-targets", type=int, default=3,
                        metavar="N",
                        help="cross-site fan-out targets per wave (default 3)")
-    serve.add_argument("--login-batch", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="authenticate service logins through the "
-                            "vectorized batch engine (journal bytes are "
-                            "identical either way)")
     serve.add_argument("--json", type=pathlib.Path, default=None,
                        help="write a machine-readable summary here")
     serve.add_argument("--flight", type=pathlib.Path, default=None,
@@ -514,7 +509,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         stuffing_site_density=args.stuffing_site_density,
         stuffing_crack_rate=args.stuffing_crack_rate,
         stuffing_targets=args.stuffing_targets,
-        login_batching=args.login_batch,
     )
     if config.stuffing_interval > 0 and config.traffic_users <= 0:
         print("--stuffing-interval-days requires --traffic-users",

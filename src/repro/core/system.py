@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.core.apparatus import DEFAULT_COVER_DOMAINS, MeasurementApparatus
 from repro.core.substrate import WorldShard
 from repro.crawler.engine import CrawlerConfig
+from repro.email_provider.batch import LoginBatch
 from repro.email_provider.telemetry import LoginMethod
 from repro.faults.plan import FaultPlan
 from repro.identity.passwords import PasswordClass
@@ -141,34 +142,19 @@ class TripwireSystem:
         """Create control accounts we log into ourselves (Section 4.2)."""
         return self.apparatus.provision_control_accounts(count)
 
-    def login_control_accounts(self, batched: bool = False) -> int:
+    def login_control_accounts(self) -> int:
         """Log into every control account from an institution IP.
 
         These logins must all surface in provider dumps — the liveness
-        check on the telemetry pipeline.  ``batched`` routes the probes
-        through the provider's batch login engine as one window; the
-        outcome per account (and every journal byte) is identical to
-        the per-event path.
+        check on the telemetry pipeline.  The probes go through the
+        provider's batch login engine as one window.
         """
         institution_ip: IPv4Address = self.proxy_pool.addresses[0]
         attempts = []
         for local in sorted(self.control_locals):
             identity = self.pool.identity_for_email(f"{local}@{self.provider.domain}")
-            if identity is None:
-                continue
-            attempts.append((local, identity.password, institution_ip))
-        if batched:
-            from repro.email_provider.batch import LoginBatch
-
-            batch = LoginBatch.from_attempts(
-                [(a[0], a[1], a[2], LoginMethod.WEBMAIL) for a in attempts]
-            )
-            return self.provider.attempt_logins(batch).successes
-        succeeded = 0
-        for local, password, ip in attempts:
-            result = self.provider.attempt_login(
-                local, password, ip, LoginMethod.WEBMAIL
-            )
-            if result.value == "success":
-                succeeded += 1
-        return succeeded
+            if identity is not None:
+                attempts.append(
+                    (local, identity.password, institution_ip, LoginMethod.WEBMAIL)
+                )
+        return self.provider.attempt_logins(LoginBatch.from_attempts(attempts)).successes

@@ -44,9 +44,11 @@ invalidating it.  Duplicate detection runs in reusable scratch
 buffers (copy → in-place sort → adjacent compare) rather than
 allocating an ``np.unique`` workspace per window.
 
-Without numpy (the import is gated) or below
-:data:`VECTOR_MIN_EVENTS`, every event takes the `_attempt_row` path;
-the result is identical either way.
+Windows below :data:`VECTOR_MIN_EVENTS`, or with a key no account
+resolves, take :meth:`BatchLoginEngine._attempt_serial` instead: every
+event through `_attempt_row` in batch order.  That loop is the
+engine's one scalar oracle; the equivalence tests force it for whole
+runs and compare bytes.
 
 Batch windows carry **one** timestamp (the window close) on purpose:
 telemetry requires time-ordered appends, and a window's events must
@@ -60,15 +62,12 @@ from array import array
 from itertools import compress
 from operator import eq
 
+import numpy as np
+
 from repro.email_provider.provider import NO_IP
 from repro.email_provider.telemetry import METHOD_CODES, METHOD_ORDER, LoginMethod
 from repro.net.ipaddr import IPv4Address
 from repro.util.timeutil import SimInstant
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    np = None
 
 #: Batches smaller than this skip the vectorized path: numpy's fixed
 #: per-operation overhead loses to the plain loop on tiny batches (the
@@ -76,7 +75,7 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
 VECTOR_MIN_EVENTS = 32
 
 #: Shared empty sorted-key array (the membership caches' rest state).
-_EMPTY_KEYS = None if np is None else np.empty(0, np.int64)
+_EMPTY_KEYS = np.empty(0, np.int64)
 
 
 def _in_sorted(sorted_keys, values):
@@ -209,8 +208,9 @@ class BatchLoginEngine:
     ``scalar_replayed``, ``fallback_events``) are plain attributes, not
     obs counters, on purpose: which path an event takes is an
     execution detail that must never reach journal bytes (the
-    login-smoke cmp would catch it), so the tallies surface only
-    through flight snapshots and live report sections.
+    scalar-oracle leg of the CLI byte-identity matrix would catch it),
+    so the tallies surface only through flight snapshots and live
+    report sections.
     """
 
     __slots__ = (
@@ -241,7 +241,7 @@ class BatchLoginEngine:
         #: vectorized window (the rare mask routed them there).
         self.scalar_replayed = 0
         #: Events that took the serial path because the window never
-        #: vectorized (no numpy, too small, or unresolved keys).
+        #: vectorized (too small, or a key no account resolves).
         self.fallback_events = 0
         # Sorted-key caches for the membership probes, valid while the
         # provider's matching revision counter is unchanged.
@@ -283,7 +283,7 @@ class BatchLoginEngine:
             unresolved = False  # producer rows are always real rows
 
         self.windows += 1
-        if np is None or len(rows) < VECTOR_MIN_EVENTS or unresolved:
+        if len(rows) < VECTOR_MIN_EVENTS or unresolved:
             self.fallback_events += len(rows)
             results = self._attempt_serial(rows, batch, now)
         else:
@@ -293,7 +293,7 @@ class BatchLoginEngine:
         return BatchReceipt(results)
 
     def _attempt_serial(self, rows, batch: LoginBatch, now) -> bytearray:
-        """Reference loop: every event through the shared decision core."""
+        """The scalar oracle: every event through the shared decision core."""
         attempt_row = self._provider._attempt_row
         results = bytearray()
         results_append = results.append
@@ -514,11 +514,7 @@ class BatchLoginEngine:
         table = provider._table
         successes = results.count(0)
         if successes:
-            if (
-                np is not None
-                and successes >= VECTOR_MIN_EVENTS
-                and None not in rows
-            ):
+            if successes >= VECTOR_MIN_EVENTS and None not in rows:
                 results_np = np.frombuffer(results, dtype=np.uint8)
                 ok_idx = np.nonzero(results_np == 0)[0]
                 ok_rows = np.asarray(rows, dtype=np.int64)[ok_idx]

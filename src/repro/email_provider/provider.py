@@ -400,8 +400,8 @@ class EmailProvider:
         """Authenticate one resolved row; returns a ``RESULT_ORDER`` code.
 
         The decision core shared verbatim by the scalar path, the
-        batch engine's rare-event path and the pure-Python batch
-        fallback — one implementation, so the engines cannot drift.
+        batch engine's rare-event path and its serial scalar oracle —
+        one implementation, so the engines cannot drift.
         Telemetry is the caller's job (the batch engine records a
         whole window at once).
         """

@@ -21,9 +21,10 @@ depends on:
 - **prefix closure** — growing the population from ``n`` to ``n′``
   users leaves the first ``n`` users' behaviors, memberships and
   passwords untouched;
-- **columnar evaluation** — every lane has a vectorized uint64 form
-  (numpy, import gated) that is bit-identical to the scalar form, so
-  the stuffing engine can derive whole membership columns at once.
+- **columnar evaluation** — every lane has a vectorized numpy uint64
+  form that is bit-identical to the scalar form (the lanes' one
+  oracle), so the stuffing engine can derive whole membership columns
+  at once.
 
 The provider-side mailbox password stays
 :func:`~repro.traffic.population.benign_password` for every class —
@@ -38,13 +39,10 @@ import enum
 import hashlib
 from array import array
 
+import numpy as np
+
 from repro.traffic.population import benign_password
 from repro.util.rngtree import RngTree
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    np = None
 
 _MASK64 = (1 << 64) - 1
 
@@ -212,8 +210,6 @@ class CrossSiteReuseModel:
 
     def behaviors(self, users) -> bytearray:
         """:class:`ReuseClass` codes for a user-index column."""
-        if np is None:
-            return bytearray(self.behavior(int(u)) for u in users)
         users_np = np.asarray(users, dtype=np.int64)
         h = self._lane_np(_BEHAVIOR_SALT, users_np, 0)
         codes = np.zeros(len(users_np), dtype=np.uint8)
@@ -236,11 +232,6 @@ class CrossSiteReuseModel:
         out = array("q")
         if population <= 0:
             return out
-        if np is None:
-            out.extend(
-                u for u in range(population) if self.has_account(u, site_rank)
-            )
-            return out
         users_np = np.arange(population, dtype=np.int64)
         h = self._lane_np(_MEMBER_SALT, users_np, site_rank)
         if self._t_member > _MASK64:
@@ -253,12 +244,9 @@ class CrossSiteReuseModel:
     def site_passwords(self, users, site_rank: int) -> list[str]:
         """Site-stored passwords for a user-index column.
 
-        String minting is python-level either way; the class and
-        suffix lanes are evaluated columnar first so the loop only
-        formats.
+        String minting is python-level; the class and suffix lanes are
+        evaluated columnar first so the loop only formats.
         """
-        if np is None:
-            return [self.site_password(int(u), site_rank) for u in users]
         users_np = np.asarray(users, dtype=np.int64)
         codes = self.behaviors(users_np)
         derive_h = self._lane_np(_DERIVE_SALT, users_np, site_rank)
@@ -280,10 +268,6 @@ class CrossSiteReuseModel:
     def cracked_mask(self, users, site_rank: int, crack_rate: float):
         """Columnar :meth:`crack_recovered` over a user-index column."""
         t = _threshold(crack_rate)
-        if np is None:
-            return [
-                self._lane(_CRACK_SALT, int(u), site_rank) < t for u in users
-            ]
         users_np = np.asarray(users, dtype=np.int64)
         if t > _MASK64:
             return np.ones(len(users_np), dtype=bool)

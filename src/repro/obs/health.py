@@ -10,9 +10,9 @@ regression is reproducible from the seed, not a flaky alert.
 
 The default rules:
 
-- **queue_saturation** — the traffic backpressure queue is refusing a
-  large share of offered batches (the login engine can't keep up with
-  the generator);
+- **queue_saturation** / **stuffing_queue_saturation** — the traffic
+  or stuffing backpressure queue is refusing a large share of offered
+  batches (the login engine can't keep up with the producer);
 - **throttle_growth** — the provider's sparse throttle table has grown
   past its bound (state eviction is losing to failure volume);
 - **checkpoint_staleness** — reconstructible state has fallen behind
@@ -106,19 +106,22 @@ class HealthCheck:
 
     def evaluate(self, snapshot: dict) -> list[HealthStatus]:
         """All rule verdicts for one snapshot, rule-declaration order."""
+        stuffing = snapshot.get("stuffing")
         return [
-            self._queue_saturation(snapshot),
-            self._stuffing_queue_saturation(snapshot),
+            self._queue_saturation("queue_saturation", snapshot.get("queue")),
+            self._queue_saturation(
+                "stuffing_queue_saturation",
+                stuffing.get("queue") if stuffing else None,
+            ),
             self._throttle_growth(snapshot),
             self._checkpoint_staleness(snapshot),
             self._stream_starvation(snapshot),
         ]
 
-    def _queue_saturation(self, snapshot: dict) -> HealthStatus:
-        queue = snapshot.get("queue")
+    def _queue_saturation(self, rule: str, queue: dict | None) -> HealthStatus:
+        """Refusal share of one stream's backpressure-queue stats."""
         if not queue:
-            return HealthStatus("queue_saturation", OK,
-                                (("enabled", False),))
+            return HealthStatus(rule, OK, (("enabled", False),))
         offered = queue["offered"] + queue["refused"]
         share = queue["refused"] / offered if offered else 0.0
         status = OK
@@ -126,27 +129,7 @@ class HealthCheck:
             status = FAIL
         elif share >= self.thresholds.queue_refusal_warn:
             status = WARN
-        return HealthStatus("queue_saturation", status, (
-            ("peak_depth", queue["peak_depth"]),
-            ("refused", queue["refused"]),
-            ("refusal_share", round(share, 4)),
-        ))
-
-    def _stuffing_queue_saturation(self, snapshot: dict) -> HealthStatus:
-        """Same refusal-share rule, over the stuffing stream's queue."""
-        section = snapshot.get("stuffing")
-        queue = section.get("queue") if section else None
-        if not queue:
-            return HealthStatus("stuffing_queue_saturation", OK,
-                                (("enabled", False),))
-        offered = queue["offered"] + queue["refused"]
-        share = queue["refused"] / offered if offered else 0.0
-        status = OK
-        if share >= self.thresholds.queue_refusal_fail:
-            status = FAIL
-        elif share >= self.thresholds.queue_refusal_warn:
-            status = WARN
-        return HealthStatus("stuffing_queue_saturation", status, (
+        return HealthStatus(rule, status, (
             ("peak_depth", queue["peak_depth"]),
             ("refused", queue["refused"]),
             ("refusal_share", round(share, 4)),

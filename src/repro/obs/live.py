@@ -14,12 +14,12 @@ Determinism boundary
 --------------------
 
 Everything in the flight file is a pure function of the service
-config's sim-shaping knobs (plus the login-batching/batch-size knobs,
-which shape the engine path mix): snapshot bytes are **identical for
-any worker count and executor**, and a resumed daemon re-flushes
-replayed epochs to the same bytes as an uninterrupted run.  The CI
-``live-smoke`` job cmp(1)s the file across executors, exactly like the
-journal.
+config's sim-shaping knobs (plus the batch-size knobs, which shape
+the engine path mix): snapshot bytes are **identical for any worker
+count and executor**, and a resumed daemon re-flushes replayed epochs
+to the same bytes as an uninterrupted run.  The slow CLI matrix test
+(``tests/integration/test_cli_matrix.py``) compares the file across
+executors, exactly like the journal.
 
 Wall-clock profiling — per-epoch dispatch seconds, logins/s,
 process-local cache hit rates (LRU caches, the world store's page

@@ -96,7 +96,7 @@ class ServiceRunResult:
     interrupted: bool
     detected_sites: int = 0
     #: Per-wave stuffing records (dispatch-independent — identical
-    #: batched or per-event); input to the cross-site correlation
+    #: for any batch size or executor); input to the cross-site correlation
     #: analysis, together with the campaign's reuse model (None when
     #: the stuffing stream is off).
     stuffing_waves: list = field(default_factory=list)

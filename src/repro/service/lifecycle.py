@@ -41,7 +41,7 @@ from repro.attacker.stuffing import (
 from repro.core.monitor import CompromiseMonitor, DumpIngestion
 from repro.core.system import TripwireSystem
 from repro.email_provider.batch import LoginBatch
-from repro.email_provider.telemetry import METHOD_ORDER, LoginMethod
+from repro.email_provider.telemetry import LoginMethod
 from repro.identity.passwords import PasswordClass
 from repro.identity.reuse import CrossSiteReuseModel
 from repro.net.ipaddr import IPv4Address
@@ -255,9 +255,7 @@ class AccountLifecycle:
 
     def _probe(self) -> None:
         """Operator re-login over every control account."""
-        succeeded = self.system.login_control_accounts(
-            batched=self.config.login_batching
-        )
+        succeeded = self.system.login_control_accounts()
         self.stats.probes += 1
         self.stats.probe_logins += succeeded
         self.system.obs.count("service.probe_logins", succeeded)
@@ -269,9 +267,9 @@ class AccountLifecycle:
         self.system.obs.count("service.dump_logins_attributed", len(attributed))
         # Batch-review housekeeping rides the ingestion cadence: drop
         # throttle/IP-window state whose horizons have fully expired.
-        # Decision-invariant, so it is safe (and identical) in both
-        # login engines — without it a multi-year daemon's per-login
-        # state grows with every account that ever failed a password.
+        # Decision-invariant — without it a multi-year daemon's
+        # per-login state grows with every account that ever failed a
+        # password.
         evicted_throttle, evicted_windows = self.system.provider.evict_expired()
         self.stats.state_evictions += evicted_throttle + evicted_windows
 
@@ -279,9 +277,8 @@ class AccountLifecycle:
         """One benign-traffic window: the haystack logs in and gets mail.
 
         The generator's batches flow through the bounded backpressure
-        queue into whichever login engine the config selects; the
-        decisions — and therefore every journal byte — are identical
-        either way.  All events in the window occur at its close (now).
+        queue into the provider's batch login engine.  All events in
+        the window occur at its close (now).
         """
         window = self._traffic_gen.window(
             self._traffic_cursor, self.system.clock.now()
@@ -290,28 +287,9 @@ class AccountLifecycle:
         provider = self.system.provider
         successes = 0
 
-        if self.config.login_batching:
-
-            def consume(batch: LoginBatch) -> None:
-                nonlocal successes
-                successes += provider.attempt_logins(batch).successes
-
-        else:
-
-            def consume(batch: LoginBatch) -> None:
-                nonlocal successes
-                attempt_login = provider.attempt_login
-                keys, passwords = batch.keys, batch.passwords
-                ips, methods = batch.ips, batch.methods
-                for i in range(len(keys)):
-                    result = attempt_login(
-                        keys[i],
-                        passwords[i],
-                        IPv4Address(ips[i]),
-                        METHOD_ORDER[methods[i]],
-                    )
-                    if result.value == "success":
-                        successes += 1
+        def consume(batch: LoginBatch) -> None:
+            nonlocal successes
+            successes += provider.attempt_logins(batch).successes
 
         self._traffic_queue.pump(iter(window.batches), consume)
 
@@ -336,10 +314,9 @@ class AccountLifecycle:
         acquisition coin, then target ranks — from its own namespaced
         RNG, breaches the victim against the benign population, and
         fans the corpus out through the stuffing engine: provider
-        candidates flow through the wave's backpressure queue into
-        whichever login engine the config selects (byte-identical
-        either way), cross-site targets are resolved from the reuse
-        model directly.
+        candidates flow through the wave's backpressure queue into the
+        batch login engine, cross-site targets are resolved from the
+        reuse model directly.
         """
         cfg = self.config
         rng = self._stuffing_rng
@@ -362,8 +339,7 @@ class AccountLifecycle:
         # Housekeeping before the wave: throttle entries left by the
         # previous wave's failures (waves are spaced past the brute-
         # force window and lockout) would otherwise route every repeat
-        # candidate through the scalar replay path.  Decision-invariant,
-        # so identical in both engines.
+        # candidate through the scalar replay path.  Decision-invariant.
         evicted_throttle, evicted_windows = provider.evict_expired()
         self.stats.state_evictions += evicted_throttle + evicted_windows
 
@@ -379,11 +355,10 @@ class AccountLifecycle:
         engine = self._stuffing_engine
         plan = engine.plan_wave(corpus, targets=tuple(targets))
 
-        batched = cfg.login_batching
         results = bytearray()
 
         def consume(batch: LoginBatch) -> None:
-            results.extend(engine.dispatch_batch(batch, batched))
+            results.extend(engine.dispatch_batch(batch))
 
         self._stuffing_queue.pump(iter(plan.batches), consume)
         result = engine.collect(plan, results)
@@ -492,18 +467,10 @@ class AccountLifecycle:
         identity, _site = bound[self._attack_rng.randrange(len(bound))]
         ip = IPv4Address(self._attack_rng.randrange(1 << 32))
         method = _ATTACK_METHODS[self._attack_rng.randrange(len(_ATTACK_METHODS))]
-        if self.config.login_batching:
-            receipt = self.system.provider.attempt_logins(
-                LoginBatch.single(
-                    identity.email_local, identity.password, ip, method
-                )
-            )
-            succeeded = receipt.results[0] == 0
-        else:
-            result = self.system.provider.attempt_login(
-                identity.email_local, identity.password, ip, method
-            )
-            succeeded = result.value == "success"
+        receipt = self.system.provider.attempt_logins(
+            LoginBatch.single(identity.email_local, identity.password, ip, method)
+        )
+        succeeded = receipt.results[0] == 0
         self.stats.attacks += 1
         self.system.obs.count("service.attacks")
         if succeeded:

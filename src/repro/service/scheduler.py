@@ -59,8 +59,8 @@ class ServiceConfig:
     prune_telemetry: bool = True
     #: Benign-traffic population (0 disables the traffic stream).  The
     #: traffic knobs below shape *which login events exist*, so they
-    #: are sim-shaping; how those events are authenticated (batched or
-    #: per-event, batch size, queue depth) is execution-shaping.
+    #: are sim-shaping; how those events are batched (batch size,
+    #: queue depth) is execution-shaping.
     traffic_users: int = 0
     traffic_logins_per_day: float = 2.0
     traffic_mails_per_day: float = 0.5
@@ -84,11 +84,6 @@ class ServiceConfig:
     warm_workers: bool = True
     wire_codec: bool = True
     checkpoint_every: int = 1
-    #: Authenticate service-stream logins through the vectorized batch
-    #: engine (False falls back to per-event authentication).  Both
-    #: paths produce byte-identical journals — that equivalence is the
-    #: engine's contract, exercised by the login-smoke CI job.
-    login_batching: bool = True
     #: Max events per traffic batch and bound of the backpressure queue
     #: between generator and login engine.  Execution-shaping: batch
     #: splitting groups the same events without reordering them, and

@@ -51,9 +51,8 @@ class TrafficProfile:
     Every field except ``batch_events`` is sim-shaping — it alters
     which events exist, so it belongs in the service config's
     ``sim_meta``.  ``batch_events`` only *groups* a window's events
-    into bounded columns without reordering them, so like the
-    batched/per-event choice it may vary without moving a journal
-    byte."""
+    into bounded columns without reordering them, so it may vary
+    without moving a journal byte."""
 
     users: int
     logins_per_user_day: float = 2.0

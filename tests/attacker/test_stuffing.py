@@ -1,11 +1,11 @@
 """Credential stuffing engine: corpus determinism, join equivalence,
-and batched-vs-per-event dispatch producing identical provider worlds."""
+and vectorized dispatch producing the provider world of the batch
+engine's scalar oracle."""
 
 import pytest
 from array import array
 
 from repro.attacker.breach import BreachMethod
-from repro.attacker import stuffing as stuffing_mod
 from repro.attacker.stuffing import (
     AttackClass,
     StuffingEngine,
@@ -103,13 +103,11 @@ class TestCorpus:
 
 
 class TestSortedJoin:
-    def test_numpy_join_matches_two_pointer_reference(self, monkeypatch):
+    def test_join_matches_set_intersection(self):
         a = array("q", [1, 4, 5, 9, 20, 21, 40])
         b = array("q", [0, 4, 9, 21, 22, 39, 40, 41])
-        vectorized = _intersect_sorted(a, b)
-        monkeypatch.setattr(stuffing_mod, "np", None)
-        reference = _intersect_sorted(a, b)
-        assert list(vectorized) == list(reference) == [4, 9, 21, 40]
+        joined = _intersect_sorted(a, b)
+        assert list(joined) == sorted(set(a) & set(b)) == [4, 9, 21, 40]
 
     def test_empty_and_disjoint_joins(self):
         assert list(_intersect_sorted(array("q"), array("q", [1]))) == []
@@ -179,16 +177,28 @@ class TestWavePlanning:
 
 
 class TestDispatchEquivalence:
-    def test_batched_and_per_event_worlds_are_identical(self, model):
+    def test_batched_and_per_event_worlds_are_identical(
+        self, model, scalar_oracle
+    ):
+        """The vectorized wave against the scalar oracle, which
+        authenticates it per event through the shared decision core."""
         corpus = build_benign_corpus(
             model, UNIVERSE, 7, "breached.test", BreachMethod.ONLINE_CAPTURE
         )
         provider_b, engine_b = make_engine(model, batch_events=32)
-        result_b = engine_b.execute_wave(engine_b.plan_wave(corpus), batched=True)
-        provider_s, engine_s = make_engine(model, batch_events=32)
-        result_s = engine_s.execute_wave(engine_s.plan_wave(corpus), batched=False)
+        result_b = engine_b.execute_wave(engine_b.plan_wave(corpus))
+        with scalar_oracle():
+            provider_s, engine_s = make_engine(model, batch_events=32)
+            result_s = engine_s.execute_wave(engine_s.plan_wave(corpus))
         assert world_state(provider_b) == world_state(provider_s)
         assert result_b == result_s
+        # The wave is failure-heavy, and its failures took the
+        # clean-failure vector commit, not the scalar loop.
+        assert result_b.bad_passwords > result_b.successes
+        stats = provider_b.batch_engine_stats()
+        assert stats["vector_committed"] > 0
+        assert stats["vector_failed"] > 0
+        assert provider_s.batch_engine_stats()["vector_committed"] == 0
 
     def test_wave_result_separates_hits_from_misses(self, model):
         corpus = build_benign_corpus(

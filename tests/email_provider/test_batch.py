@@ -1,6 +1,6 @@
 """Batch login engine: decision-for-decision equivalence with the
-scalar path, across the vectorized, serial-fallback and no-numpy
-configurations."""
+provider's per-event path and with the engine's scalar oracle, plus
+checks that the vectorized path actually runs."""
 
 import pytest
 
@@ -85,6 +85,18 @@ MIXED_SPEC = (
     ]
 )
 
+#: A window every key of which resolves, long enough to vectorize:
+#: clean successes (monitored ones too), one clean failure, and one row
+#: hit twice (routed rare).
+VECTOR_SPEC = (
+    [(f"bg{i:08d}", f"bg-pw-{i:08d}", 0x30000000 + i, i) for i in range(36)]
+    + [(f"monitored.{i}", f"MonPw!{i:04d}", 0x40000000 + i, i) for i in range(6)]
+    + [
+        ("bg00000037", "wrong-guess", 0x50000001, 0),
+        ("bg00000003", "wrong-guess", 0x50000002, 1),
+    ]
+)
+
 
 class TestEquivalence:
     def test_batched_matches_scalar_on_mixed_batch(self):
@@ -96,17 +108,22 @@ class TestEquivalence:
         assert batched_codes == scalar_codes
         assert world_state(batched) == world_state(scalar)
 
-    def test_vectorized_matches_no_numpy_fallback(self, monkeypatch):
-        attempts = attempts_from(MIXED_SPEC)
+    def test_vectorized_matches_scalar_oracle(self, scalar_oracle):
+        attempts = attempts_from(VECTOR_SPEC)
+        assert len(attempts) >= batch_mod.VECTOR_MIN_EVENTS
         vec = make_provider()
-        # The unknown account forces the serial path regardless, so
-        # drop it to genuinely exercise the vectorized commit here.
-        vec_codes = run_batched(vec, attempts[:-4])
-        monkeypatch.setattr(batch_mod, "np", None)
-        fallback = make_provider()
-        fallback_codes = run_batched(fallback, attempts[:-4])
-        assert vec_codes == fallback_codes
-        assert world_state(vec) == world_state(fallback)
+        vec_codes = run_batched(vec, attempts)
+        stats = vec.batch_engine_stats()
+        assert stats["vector_committed"] > 0
+        assert stats["vector_failed"] == 1
+        assert stats["scalar_replayed"] == 2
+        assert stats["fallback_events"] == 0
+        with scalar_oracle():
+            oracle = make_provider()
+            oracle_codes = run_batched(oracle, attempts)
+        assert oracle.batch_engine_stats()["fallback_events"] == len(attempts)
+        assert vec_codes == oracle_codes
+        assert world_state(vec) == world_state(oracle)
 
     def test_unknown_account_takes_serial_path_with_correct_codes(self):
         attempts = attempts_from(MIXED_SPEC)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.identity import reuse as reuse_mod
 from repro.identity.reuse import CrossSiteReuseModel, ReuseClass
 from repro.traffic.population import benign_password
 from repro.util.rngtree import RngTree
@@ -94,17 +93,10 @@ class TestColumnarParity:
             model.crack_recovered(int(u), 1, 0.6) for u in members
         ]
 
-    def test_fallback_without_numpy_is_identical(self, monkeypatch):
+    def test_behaviors_match_scalar(self):
         model = make_model()
-        members = model.members(3, 800)
-        codes = model.behaviors(members)
-        passwords = model.site_passwords(members, 3)
-        cracked = list(model.cracked_mask(members, 3, 0.5))
-        monkeypatch.setattr(reuse_mod, "np", None)
-        assert list(model.members(3, 800)) == list(members)
-        assert model.behaviors(members) == codes
-        assert model.site_passwords(members, 3) == passwords
-        assert list(model.cracked_mask(members, 3, 0.5)) == cracked
+        users = range(3000)
+        assert list(model.behaviors(users)) == [model.behavior(u) for u in users]
 
 
 if HAVE_HYPOTHESIS:

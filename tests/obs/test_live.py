@@ -147,13 +147,15 @@ class TestFlightByteIdentity:
         assert serial.read_bytes() == threaded.read_bytes()
 
     def test_login_engine_choice_moves_no_snapshot_decision_bytes(
-        self, tmp_path
+        self, tmp_path, scalar_oracle
     ):
-        """Batched vs per-event flights agree on everything except the
-        engine's own path-mix section (which reports exactly that
-        choice)."""
-        batched = run_with_flight(tmp_path, "batched", login_batching=True)
-        scalar = run_with_flight(tmp_path, "scalar", login_batching=False)
+        """Vectorized vs scalar-oracle flights agree on everything
+        except the engine's own path-mix section (which reports exactly
+        that choice).  Enough traffic that windows vectorize."""
+        traffic = dict(traffic_users=400, traffic_logins_per_day=3.0)
+        batched = run_with_flight(tmp_path, "batched", **traffic)
+        with scalar_oracle():
+            scalar = run_with_flight(tmp_path, "scalar", **traffic)
         a = read_flight(batched)
         b = read_flight(scalar)
         engines_a, engines_b = [], []

@@ -121,13 +121,13 @@ class TestStreams:
 
 
 class TestLoginBatchEquivalence:
-    """The batched/per-event choice must not move a single output."""
+    """Vectorized or scalar-oracle authentication, and the batch size,
+    must not move a single output."""
 
-    def run_world(self, batched, batch_events=8192):
+    def run_world(self, batch_events=8192):
         system, monitor, lifecycle, _config = make_world(
             traffic_users=400,
             traffic_logins_per_day=3.0,
-            login_batching=batched,
             traffic_batch_events=batch_events,
         )
         lifecycle.install()
@@ -145,20 +145,23 @@ class TestLoginBatchEquivalence:
             "windows": provider.login_window_snapshot(),
         }
 
-    def test_batched_and_per_event_worlds_are_identical(self):
-        per_event = self.fingerprint(*self.run_world(batched=False))
-        batched = self.fingerprint(*self.run_world(batched=True))
+    def test_batched_and_per_event_worlds_are_identical(self, scalar_oracle):
+        with scalar_oracle():
+            per_event = self.fingerprint(*self.run_world())
+        system, monitor, lifecycle = self.run_world()
+        assert system.provider.batch_engine_stats()["vector_committed"] > 0
+        batched = self.fingerprint(system, monitor, lifecycle)
         for key in per_event:
             assert per_event[key] == batched[key], f"{key} diverged"
 
     def test_batch_granularity_is_invisible(self):
-        coarse = self.fingerprint(*self.run_world(batched=True))
-        fine = self.fingerprint(*self.run_world(batched=True, batch_events=64))
+        coarse = self.fingerprint(*self.run_world())
+        fine = self.fingerprint(*self.run_world(batch_events=64))
         for key in coarse:
             assert coarse[key] == fine[key], f"{key} diverged"
 
     def test_traffic_flows_through_the_queue(self):
-        _system, _monitor, lifecycle = self.run_world(batched=True)
+        _system, _monitor, lifecycle = self.run_world()
         assert lifecycle.stats.traffic_windows > 0
         assert lifecycle.stats.traffic_logins > 0
         assert lifecycle.stats.traffic_successes > 0

@@ -1,5 +1,6 @@
-"""The stuffing stream in serve mode: determinism across engines,
-worker counts and executors, plus the lifecycle bookkeeping."""
+"""The stuffing stream in serve mode: determinism across the batch
+engine's vectorized path and its scalar oracle, worker counts and
+executors, plus the lifecycle bookkeeping."""
 
 import pytest
 
@@ -77,8 +78,13 @@ class TestStreamBookkeeping:
 
 
 class TestEngineEquivalence:
-    def test_per_event_engine_matches_batched_byte_for_byte(self, baseline):
-        scalar = run(login_batching=False)
+    def test_per_event_engine_matches_batched_byte_for_byte(
+        self, baseline, scalar_oracle
+    ):
+        with scalar_oracle():
+            scalar = run()
+        assert baseline.live_stats["engine"]["vector_failed"] > 0
+        assert scalar.live_stats["engine"]["vector_committed"] == 0
         assert scalar.journal.to_jsonl() == baseline.journal.to_jsonl()
         assert scalar.detection_digest == baseline.detection_digest
         assert scalar.stuffing_waves == baseline.stuffing_waves
@@ -96,7 +102,10 @@ class TestExecutorInvariance:
         assert pooled.journal.to_jsonl() == baseline.journal.to_jsonl()
         assert pooled.stuffing_waves == baseline.stuffing_waves
 
-    def test_process_pool_per_event_matches_serial_batched(self, baseline):
-        pooled = run(workers=2, executor="process", login_batching=False)
+    def test_process_pool_per_event_matches_serial_batched(
+        self, baseline, scalar_oracle
+    ):
+        with scalar_oracle():
+            pooled = run(workers=2, executor="process")
         assert pooled.journal.to_jsonl() == baseline.journal.to_jsonl()
         assert pooled.stuffing_waves == baseline.stuffing_waves
