@@ -12,11 +12,10 @@ mirror of the benign traffic stack:
   a **database dump** leaks only what offline cracking recovers (a
   pure per-(user, site) coin from the reuse model);
 - :class:`StuffingEngine` fans a corpus out as candidate columns —
-  membership joins of breach rows against the
-  :class:`~repro.identity.reuse.CrossSiteReuseModel` run as
-  sorted-``searchsorted`` probes (never ``np.isin``, whose sort path
-  drags ``numpy.ma`` imports into the hot loop) — and dispatches the
-  provider-side wave through
+  a target's candidates are the breach rows whose
+  :class:`~repro.identity.reuse.CrossSiteReuseModel` membership lane,
+  evaluated at those rows, says they hold an account there — and
+  dispatches the provider-side wave through
   :meth:`~repro.email_provider.provider.EmailProvider.attempt_logins`
   in bounded :class:`~repro.email_provider.batch.LoginBatch` columns,
   whose scalar oracle is the batch engine's own serial loop;
@@ -33,7 +32,10 @@ engine (vectorized or scalar oracle) authenticated a wave.  Per-wave
 randomness draws from ``rng_tree.child("stuffing", str(wave))`` — one
 namespaced stream per wave index, so waves are order-independent
 under resume.  Draw order inside a wave is part of the contract:
-per-event source IP, then the per-event method column.
+per-event source IP (one ``getrandbits(24)`` each), then the per-event
+method column (one ``random()`` each).  Both columns are cut from one
+block of the stream's raw words (:func:`~repro.util.rngtree.mt_words`),
+which is exactly the sequence those scalar draws would consume.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import enum
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import eq
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from repro.attacker.breach import BreachMethod
 from repro.email_provider.batch import LoginBatch
 from repro.email_provider.telemetry import METHOD_CODES, LoginMethod
 from repro.identity.reuse import CrossSiteReuseModel
-from repro.util.rngtree import RngTree
+from repro.util.rngtree import RngTree, mt_words
 from repro.util.timeutil import SimInstant
 
 #: Stuffing proxies live in 46.0.0.0/8 — disjoint from the benign
@@ -59,11 +62,16 @@ PROXY_BASE = 0x2E000000
 PROXY_BITS = 24
 
 #: Method mix of stuffing tools: mail-protocol checkers (Section 6.2),
-#: IMAP-heavy.  Cumulative thresholds, one ``random()`` per event.
-_STUFFING_METHOD_MIX: tuple[tuple[float, int], ...] = (
-    (0.50, METHOD_CODES[LoginMethod.IMAP]),
-    (0.80, METHOD_CODES[LoginMethod.POP3]),
-    (1.01, METHOD_CODES[LoginMethod.SMTP]),
+#: IMAP-heavy.  One ``random()`` per event takes the first code whose
+#: cumulative threshold lies above it.
+_STUFFING_THRESHOLDS = np.array([0.50, 0.80, 1.01])
+_STUFFING_METHOD_CODES = np.array(
+    [
+        METHOD_CODES[LoginMethod.IMAP],
+        METHOD_CODES[LoginMethod.POP3],
+        METHOD_CODES[LoginMethod.SMTP],
+    ],
+    dtype=np.uint8,
 )
 
 
@@ -140,25 +148,6 @@ def build_benign_corpus(
         users=members,
         passwords=passwords,
     )
-
-
-def _intersect_sorted(a: array, b: array) -> array:
-    """Sorted-array intersection as a ``searchsorted`` membership probe.
-
-    ``a`` and ``b`` are sorted ``array('q')`` columns; returns the
-    sorted intersection, probing ``a`` into ``b`` (``np.isin``
-    deliberately avoided — its sort path concatenates both columns and
-    lazily imports ``numpy.ma`` mid-hot-loop).
-    """
-    out = array("q")
-    if not len(a) or not len(b):
-        return out
-    a_np = np.frombuffer(a, dtype=np.int64)
-    b_np = np.frombuffer(b, dtype=np.int64)
-    idx = np.searchsorted(b_np, a_np)
-    idx[idx == len(b_np)] = 0  # out-of-range probes can't match
-    out.frombytes(a_np[b_np[idx] == a_np].tobytes())
-    return out
 
 
 @dataclass(frozen=True)
@@ -262,11 +251,10 @@ class StuffingEngine:
 
         The provider-candidate join is the prefix of the (sorted)
         corpus below the registered population size; each non-provider
-        target joins corpus rows against the target's membership
-        column with a sorted-``searchsorted`` probe.
+        target keeps the corpus rows whose membership lane at that
+        target is set.
         """
         population = self._population
-        model = self._model
         # Provider join: registered rows are exactly user indices
         # [0, size), and the corpus is sorted, so the join is the
         # prefix below the first out-of-range index.
@@ -274,27 +262,27 @@ class StuffingEngine:
         users = corpus.users[:cut]
         passwords = corpus.passwords[:cut]
         n = len(users)
+        users_np = np.frombuffer(users, dtype=np.int64)
 
-        rng = self._tree.child(str(corpus.wave)).rng()
-        getrandbits = rng.getrandbits
-        random = rng.random
+        # The scalar draws, as columns: n getrandbits(24) (one word
+        # each), then n random() (two words each).
+        words = mt_words(self._tree.child(str(corpus.wave)).rng(), 3 * n)
         ips = array("Q")
-        ips_append = ips.append
-        for _ in range(n):
-            ips_append(PROXY_BASE | getrandbits(PROXY_BITS))
-        methods = bytearray(n)
-        mix = _STUFFING_METHOD_MIX
-        for i in range(n):
-            roll = random()
-            for threshold, code in mix:
-                if roll < threshold:
-                    methods[i] = code
-                    break
+        proxies = (words[:n] >> (32 - PROXY_BITS)).astype(np.uint64)
+        ips.frombytes((PROXY_BASE | proxies).tobytes())
+        high = (words[n::2] >> 5).astype(np.uint64)
+        low = (words[n + 1 :: 2] >> 6).astype(np.uint64)
+        rolls = ((high << np.uint64(26)) + low).astype(np.float64) / 2.0**53
+        methods = bytearray(
+            _STUFFING_METHOD_CODES[
+                np.searchsorted(_STUFFING_THRESHOLDS, rolls, side="right")
+            ].tobytes()
+        )
 
         locals_table, _ = population.credentials()
         keys = list(map(locals_table.__getitem__, users))
-        first_row = population.first_row
-        rows = array("q", (first_row + u for u in users))
+        rows = array("q")
+        rows.frombytes((users_np + population.first_row).tobytes())
 
         step = self._batch_events
         if n <= step:
@@ -330,18 +318,18 @@ class StuffingEngine:
             return SiteTargetReport(
                 target_rank=rank, candidates=len(corpus), hits=len(corpus)
             )
-        members = self._model.members(rank, corpus.universe)
-        candidates = _intersect_sorted(corpus.users, members)
-        if not len(candidates):
+        # Corpus users all lie below the universe, so evaluating the
+        # target's membership lane at the corpus rows is the join.
+        users_np = np.frombuffer(corpus.users, dtype=np.int64)
+        idx = np.flatnonzero(self._model.member_mask(users_np, rank))
+        if not idx.size:
             return SiteTargetReport(target_rank=rank, candidates=0, hits=0)
         # The haul's password for each candidate, gathered by position.
-        held = [
-            corpus.passwords[bisect_left(corpus.users, u)] for u in candidates
-        ]
-        stored = self._model.site_passwords(candidates, rank)
-        hits = sum(1 for h, s in zip(held, stored) if h == s)
+        held = list(map(corpus.passwords.__getitem__, idx.tolist()))
+        stored = self._model.site_passwords(users_np[idx], rank)
+        hits = sum(map(eq, held, stored))
         return SiteTargetReport(
-            target_rank=rank, candidates=len(candidates), hits=hits
+            target_rank=rank, candidates=int(idx.size), hits=hits
         )
 
     # -- dispatch ----------------------------------------------------------

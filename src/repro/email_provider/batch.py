@@ -473,12 +473,14 @@ class BatchLoginEngine:
 
         Each clean-fail row is active, un-throttled and unique in the
         batch, so the scalar path would have produced exactly one
-        fresh first-failure throttle entry per row (``[1, window
-        start, 0]`` — below ``BRUTE_FORCE_LIMIT``, so no lockout) and
-        returned BAD_PASSWORD.  One dict bulk-insert per window lands
-        all of them; the key-set revision advances once, and when no
-        rare event inserted a throttle entry this window the sorted
-        key cache absorbs the new rows by merge instead of a rebuild.
+        fresh first-failure throttle entry per row (``(1, window
+        start, 0)`` — below ``BRUTE_FORCE_LIMIT``, so no lockout) and
+        returned BAD_PASSWORD.  Throttle entries are immutable, so one
+        shared tuple serves every row and one dict bulk-insert per
+        window lands all of them; the key-set revision advances once,
+        and when no rare event inserted a throttle entry this window
+        the sorted key cache absorbs the new rows by merge instead of
+        a rebuild.
         """
         provider = self._provider
         fail_idx = np.nonzero(clean_fail)[0]
@@ -491,7 +493,7 @@ class BatchLoginEngine:
         # window test passes — replicate its exact arithmetic.
         window_start = now if now - 0 > provider.BRUTE_FORCE_WINDOW else 0
         provider._throttle.update(
-            (row, [1, window_start, 0]) for row in f_rows.tolist()
+            dict.fromkeys(f_rows.tolist(), (1, window_start, 0))
         )
         prev_rev = provider._throttle_rev
         provider._throttle_rev = prev_rev + 1

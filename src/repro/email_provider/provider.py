@@ -17,9 +17,10 @@ AccountTable` so the provider can hold the benign population Tripwire's
 accounts hide among — millions of mailboxes, not 27.  Per-login state
 is sparse and incremental:
 
-- brute-force throttling keeps one ``[failures, window_start,
-  locked_until]`` triple per row *that has ever failed*, nothing for
-  the quiet majority;
+- brute-force throttling keeps one immutable ``(failures,
+  window_start, locked_until)`` tuple per row *that has ever failed*,
+  nothing for the quiet majority; an update replaces the row's tuple,
+  so one shared tuple can stand for many rows;
 - the suspicious-IP review splits rows into **cold** and **hot**.
   Cold rows (virtually everyone) append ``(time, ip, row)`` to one
   shared columnar evidence log threaded by a per-row chain index, and
@@ -53,6 +54,8 @@ import enum
 from array import array
 from collections import deque
 from itertools import repeat
+
+import numpy as np
 
 from repro.email_provider.accounts import (
     AccountState,
@@ -148,9 +151,10 @@ class EmailProvider:
         self._table = AccountTable()
         self._preexisting = {name.lower() for name in preexisting_locals}
         self.telemetry = LoginTelemetry(retention_days=retention_days, obs=obs)
-        #: Sparse throttle state: row -> [failures, window_start,
-        #: locked_until].  Only rows with failure history appear here.
-        self._throttle: dict[int, list[int]] = {}
+        #: Sparse throttle state: row -> (failures, window_start,
+        #: locked_until), replaced whole on every update.  Only rows
+        #: with failure history appear here.
+        self._throttle: dict[int, tuple[int, int, int]] = {}
         #: Key-set revision counters: bumped whenever rows are added
         #: to or removed from ``_throttle`` / ``_ip_hot`` (value
         #: mutation doesn't count).  The batch engine keys its sorted
@@ -415,7 +419,7 @@ class EmailProvider:
             self._note_failure(row, now)
             return 1  # BAD_PASSWORD
         if throttle is not None:
-            throttle[0] = 0
+            self._throttle[row] = (0, throttle[1], throttle[2])
         self._note_ip(row, now, ip_int)
         self._review_after_login(row, now)
         return 0  # SUCCESS
@@ -423,15 +427,18 @@ class EmailProvider:
     def _note_failure(self, row: int, now: int) -> None:
         throttle = self._throttle.get(row)
         if throttle is None:
-            throttle = self._throttle[row] = [0, 0, 0]
+            failures = window_start = locked_until = 0
             self._throttle_rev += 1
-        if now - throttle[1] > self.BRUTE_FORCE_WINDOW:
-            throttle[1] = now
-            throttle[0] = 0
-        throttle[0] += 1
-        if throttle[0] >= self.BRUTE_FORCE_LIMIT:
-            throttle[2] = now + self.BRUTE_FORCE_LOCKOUT
-            throttle[0] = 0
+        else:
+            failures, window_start, locked_until = throttle
+        if now - window_start > self.BRUTE_FORCE_WINDOW:
+            window_start = now
+            failures = 0
+        failures += 1
+        if failures >= self.BRUTE_FORCE_LIMIT:
+            locked_until = now + self.BRUTE_FORCE_LOCKOUT
+            failures = 0
+        self._throttle[row] = (failures, window_start, locked_until)
 
     def _note_ip(self, row: int, now: int, ip_int: int) -> None:
         """Record one successful login's source IP for the row.
@@ -603,7 +610,7 @@ class EmailProvider:
         return len(stale), window_evicted
 
     def _compact_log(self, cutoff: int) -> int:
-        """Rebuild the shared log without tombstones or expired entries.
+        """Compact the shared log in place, without tombstones or expired entries.
 
         Returns the number of *live* expired entries dropped.  Every
         cold row touched by the log gets its cached bound *recounted*
@@ -611,47 +618,72 @@ class EmailProvider:
         came from the row's first-seen IP, plus one per kept entry
         from anywhere else — the same rule the incremental bump
         applies, so the bound stays an overestimate of the windowed
-        distinct count and the two engines agree byte-for-byte.
+        distinct count and the two engines agree byte-for-byte.  The
+        columns shrink only once every numpy view over them is gone:
+        an ``array`` that exports its buffer cannot resize.
         """
-        times = self._log_times
-        ips = self._log_ips
-        rows_col = self._log_rows
-        head = self._ip_head
-        distinct = self._ip_distinct
-        firsts = self._ip_first
-        for r in rows_col:
-            if r >= 0:
-                head[r] = -1
-                distinct[r] = 0
-        new_times = array("q")
-        new_ips = array("Q")
-        new_rows = array("q")
-        new_prev = array("q")
-        first_credited: set[int] = set()
-        dropped = 0
-        for i in range(len(times)):
-            r = rows_col[i]
-            if r < 0:
-                continue  # promotion tombstone
-            t = times[i]
-            ip_i = ips[i]
-            if t < cutoff:
-                dropped += 1
-                continue
-            new_prev.append(head[r])
-            head[r] = len(new_times)
-            new_times.append(t)
-            new_ips.append(ip_i)
-            new_rows.append(r)
-            if ip_i != firsts[r]:
-                distinct[r] += 1
-            else:
-                first_credited.add(r)
-        for r in first_credited:
-            distinct[r] += 1
-        self._log_times, self._log_ips = new_times, new_ips
-        self._log_rows, self._log_prev = new_rows, new_prev
+        kept, dropped = self._compact_log_columns(cutoff)
+        for column in (self._log_times, self._log_ips, self._log_rows, self._log_prev):
+            del column[kept:]
         return dropped
+
+    def _compact_log_columns(self, cutoff: int) -> tuple[int, int]:
+        """Move the log's survivors to its front and rethread them.
+
+        Survivors (live rows, ``time >= cutoff``) keep their log order;
+        each row's chain is rebuilt from a stable sort of the survivors
+        by row, and its bound is recounted per row group.  Returns
+        ``(survivors, live expired entries)``; the tail past the
+        survivors is left for the caller to truncate.  Temporaries are
+        dropped as soon as they are spent: the log is at its largest
+        when it is compacted, so they set the process's peak memory.
+        """
+        times = np.frombuffer(self._log_times, dtype=np.int64)
+        ips = np.frombuffer(self._log_ips, dtype=np.uint64)
+        rows = np.frombuffer(self._log_rows, dtype=np.int64)
+        prev = np.frombuffer(self._log_prev, dtype=np.int64)
+        head = np.frombuffer(self._ip_head, dtype=np.int64)
+        distinct = np.frombuffer(self._ip_distinct, dtype=np.uint32)
+        firsts = np.frombuffer(self._ip_first, dtype=np.uint64)
+        live = rows >= 0
+        fresh = times >= cutoff
+        # A row that loses entries starts over; one with survivors is
+        # rewritten below.
+        expired = rows[live & ~fresh]
+        head[expired] = -1
+        distinct[expired] = 0
+        dropped = expired.size
+        del expired
+        keep = np.logical_and(live, fresh, out=live)
+        del fresh
+        kept = int(np.count_nonzero(keep))
+        times[:kept] = times[keep]
+        ips[:kept] = ips[keep]
+        rows[:kept] = rows[keep]
+        del keep
+        if not kept:
+            return 0, dropped
+        ips, rows = ips[:kept], rows[:kept]
+        away = ips != firsts[rows]
+        order = np.argsort(rows, kind="stable")
+        by_row = rows[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], by_row[1:] != by_row[:-1]))
+        )
+        group_rows = by_row[starts]
+        del by_row
+        # Within a row group the survivors sit in log order: each links
+        # to its predecessor, the group's first to nothing, its last is
+        # the row's head.
+        prev[order[1:]] = order[:-1]
+        prev[order[starts]] = -1
+        head[group_rows] = order[np.append(starts[1:], kept) - 1]
+        away = away[order]
+        del order
+        distinct[group_rows] = np.add.reduceat(
+            away, starts, dtype=np.uint32
+        ) + np.logical_or.reduceat(~away, starts)
+        return kept, dropped
 
     def login_window_snapshot(self) -> dict[int, dict]:
         """Canonical per-row view of the IP-window state (tests/bench).

@@ -41,7 +41,7 @@ from array import array
 
 import numpy as np
 
-from repro.traffic.population import benign_password
+from repro.traffic.population import _MIX as _PASSWORD_MIX, benign_password
 from repro.util.rngtree import RngTree
 
 _MASK64 = (1 << 64) - 1
@@ -68,6 +68,25 @@ _MEMBER_SALT = _lane_salt("member")
 _DERIVE_SALT = _lane_salt("derive")
 _UNIQUE_SALT = _lane_salt("unique")
 _CRACK_SALT = _lane_salt("crack")
+
+#: Site-password column layout: the longest forms (``bg-pw-%08x.%04x``
+#: and ``sw-%016x``) are 19 characters, plus a newline row separator.
+_PASSWORD_WIDTH = 20
+_BG_STEM = np.frombuffer(b"bg-pw-", dtype=np.uint8)
+_SW_STEM = np.frombuffer(b"sw-", dtype=np.uint8)
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _hex_digits(values, width: int):
+    """Lowercase zero-padded hex of a uint64 column, as ``(n, width)`` bytes.
+
+    One digit column at a time, so no ``(n, width)`` uint64 temporary.
+    """
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    for k in range(width):
+        shift = np.uint64(4 * (width - 1 - k))
+        digits[:, k] = _HEX_DIGITS[(values >> shift) & np.uint64(0xF)]
+    return digits
 
 
 def _mix64(x: int) -> int:
@@ -208,9 +227,8 @@ class CrossSiteReuseModel:
             x ^= x >> np.uint64(31)
         return x
 
-    def behaviors(self, users) -> bytearray:
-        """:class:`ReuseClass` codes for a user-index column."""
-        users_np = np.asarray(users, dtype=np.int64)
+    def _behavior_codes(self, users_np):
+        """:class:`ReuseClass` codes for an int64 user column (uint8)."""
         h = self._lane_np(_BEHAVIOR_SALT, users_np, 0)
         codes = np.zeros(len(users_np), dtype=np.uint8)
         if self._t_derived > _MASK64:  # rate sums to 1: nobody is UNIQUE
@@ -221,7 +239,20 @@ class CrossSiteReuseModel:
             codes[:] = ReuseClass.EXACT
         else:
             codes[h < np.uint64(self._t_exact)] = ReuseClass.EXACT
-        return bytearray(codes.tobytes())
+        return codes
+
+    def behaviors(self, users) -> bytearray:
+        """:class:`ReuseClass` codes for a user-index column."""
+        users_np = np.asarray(users, dtype=np.int64)
+        return bytearray(self._behavior_codes(users_np).tobytes())
+
+    def member_mask(self, users, site_rank: int):
+        """Columnar :meth:`has_account` over a user-index column."""
+        users_np = np.asarray(users, dtype=np.int64)
+        if self._t_member > _MASK64:
+            return np.ones(len(users_np), dtype=bool)
+        h = self._lane_np(_MEMBER_SALT, users_np, site_rank)
+        return h < np.uint64(self._t_member)
 
     def members(self, site_rank: int, population: int):
         """Sorted user indices (``array('q')``) with accounts at a site.
@@ -233,36 +264,38 @@ class CrossSiteReuseModel:
         if population <= 0:
             return out
         users_np = np.arange(population, dtype=np.int64)
-        h = self._lane_np(_MEMBER_SALT, users_np, site_rank)
-        if self._t_member > _MASK64:
-            hits = users_np
-        else:
-            hits = users_np[h < np.uint64(self._t_member)]
-        out.frombytes(hits.tobytes())
+        out.frombytes(users_np[self.member_mask(users_np, site_rank)].tobytes())
         return out
 
     def site_passwords(self, users, site_rank: int) -> list[str]:
         """Site-stored passwords for a user-index column.
 
-        String minting is python-level; the class and suffix lanes are
-        evaluated columnar first so the loop only formats.
+        Minted as one column: every row is laid out as NUL-padded ASCII
+        in an ``(n, 20)`` byte matrix — ``bg-pw-%08x`` plus ``.%04x``
+        for DERIVED users, ``sw-%016x`` for UNIQUE ones, then a newline
+        — and one decode and split turns the matrix into the strings.
         """
         users_np = np.asarray(users, dtype=np.int64)
-        codes = self.behaviors(users_np)
-        derive_h = self._lane_np(_DERIVE_SALT, users_np, site_rank)
-        unique_h = self._lane_np(_UNIQUE_SALT, users_np, site_rank)
-        suffixes = (derive_h & np.uint64(0xFFFF)).tolist()
-        uniques = unique_h.tolist()
-        out = []
-        out_append = out.append
-        for i, user in enumerate(users_np.tolist()):
-            code = codes[i]
-            if code == ReuseClass.EXACT:
-                out_append(benign_password(user))
-            elif code == ReuseClass.DERIVED:
-                out_append(benign_password(user) + ".%04x" % suffixes[i])
-            else:
-                out_append("sw-%016x" % uniques[i])
+        codes = self._behavior_codes(users_np)
+        text = np.zeros((len(users_np), _PASSWORD_WIDTH), dtype=np.uint8)
+        text[:, -1] = ord("\n")
+        reused = codes != ReuseClass.UNIQUE
+        text[reused, :6] = _BG_STEM
+        text[reused, 6:14] = _hex_digits(
+            (users_np[reused].astype(np.uint64) * np.uint64(_PASSWORD_MIX))
+            & np.uint64(0xFFFFFFFF),
+            8,
+        )
+        derived = codes == ReuseClass.DERIVED
+        suffixes = self._lane_np(_DERIVE_SALT, users_np[derived], site_rank)
+        text[derived, 14] = ord(".")
+        text[derived, 15:19] = _hex_digits(suffixes & np.uint64(0xFFFF), 4)
+        unique = ~reused
+        material = self._lane_np(_UNIQUE_SALT, users_np[unique], site_rank)
+        text[unique, :3] = _SW_STEM
+        text[unique, 3:19] = _hex_digits(material, 16)
+        out = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+        out.pop()  # the empty string after the last row's newline
         return out
 
     def cracked_mask(self, users, site_rank: int, crack_rate: float):

@@ -44,6 +44,7 @@ also clears the world store (it registers through
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable
 
@@ -64,11 +65,14 @@ class SpecCache:
 
     Satisfies :class:`repro.web.generator.SpecCacheLike`: the generator
     consults ``specs`` before generating and shares ``hosts_taken`` so
-    collision handling matches a single long-lived generator.
+    collision handling matches a single long-lived generator.  ``lock``
+    serializes the check-and-fill across a thread pool's workers; a
+    process worker owns its cache, so its lock is never contended.
     """
 
     specs: dict[int, SiteSpec] = field(default_factory=dict)
     hosts_taken: set[str] = field(default_factory=set)
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
 
 @dataclass

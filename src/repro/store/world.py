@@ -139,15 +139,16 @@ class StoreSpecCache:
     Drop-in for the warm layer's in-memory ``SpecCache``: the
     generator reads specs through ``specs`` and never generates, so
     ``hosts_taken`` stays empty (collision handling happened at build
-    time, prefix-closed).
+    time, prefix-closed); ``lock`` is the protocol's fill lock.
     """
 
-    __slots__ = ("specs", "hosts_taken", "store")
+    __slots__ = ("specs", "hosts_taken", "lock", "store")
 
     def __init__(self, store: "WorldStore"):
         self.store = store
         self.specs = _SpecMapping(store)
         self.hosts_taken: set[str] = set()
+        self.lock = threading.Lock()
 
 
 class WorldStore:

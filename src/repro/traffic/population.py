@@ -15,6 +15,10 @@ AccountTable.extend` path with the per-row checks hoisted out.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 #: Knuth's multiplicative hash constant; spreads consecutive indices.
 _MIX = 2654435761
 _MASK32 = 0xFFFFFFFF
@@ -69,13 +73,17 @@ class BenignPopulation:
         return self._locals, self._passwords
 
     def home_ips(self):
-        """Per-user home IP table (``array('Q')``), built once, cached."""
-        if self._home_ips is None:
-            from array import array
+        """Per-user home IP table (``array('Q')``), built once, cached.
 
-            self._home_ips = array(
-                "Q", [benign_home_ip(i) for i in range(self.size)]
-            )
+        :func:`benign_home_ip` over ``range(size)`` as one uint64 column.
+        """
+        if self._home_ips is None:
+            ips = np.arange(self.size, dtype=np.uint64)
+            ips *= _MIX
+            ips &= 0x1FFFFFFF
+            ips |= 0x60000000
+            self._home_ips = array("Q")
+            self._home_ips.frombytes(ips.view(np.uint8))
         return self._home_ips
 
     def register_with(self, provider) -> int:

@@ -95,6 +95,33 @@ class RngTree:
         return hash((self._seed, self._path))
 
 
+def mt_words(rng: random.Random, count: int):
+    """The next ``count`` 32-bit outputs of ``rng``, as a numpy column.
+
+    :class:`random.Random` is MT19937, so its 624-word key and position
+    (from :meth:`~random.Random.getstate`) continue unchanged in
+    ``numpy.random.MT19937``; the words come back as a ``uint32`` array
+    and ``rng`` is advanced past them, so its next draw is the one that
+    would have followed ``count`` scalar draws.  In CPython's terms,
+    ``getrandbits(k)`` for ``0 < k <= 32`` is one word ``>> (32 - k)``
+    and ``random()`` is two words ``w1, w2`` combined as
+    ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53`` — callers rebuild
+    whole draw columns from those rules.
+    """
+    import numpy as np
+
+    version, internal, gauss_next = rng.getstate()
+    bits = np.random.MT19937(0)
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+    }
+    words = bits.random_raw(count).astype(np.uint32)
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return words
+
+
 def weighted_choice(rng: random.Random, options: Sequence[tuple[T, float]]) -> T:
     """Pick one option according to non-negative weights.
 

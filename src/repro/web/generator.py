@@ -17,6 +17,7 @@ guarantee, e.g., a Deals site near rank 500 that stores plaintext.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -135,11 +136,15 @@ class SpecCacheLike(Protocol):
     """A shared site-spec table (see :class:`repro.perf.warm.SpecCache`).
 
     Declared here as a Protocol so the web layer never imports the perf
-    layer; any object with these two attributes qualifies.
+    layer; any object with these three attributes qualifies.  ``lock``
+    serializes the prefix-closed fill: generators on different threads
+    share ``hosts_taken``, and a fill must see exactly the hosts of the
+    ranks below it.
     """
 
     specs: dict[int, SiteSpec]
     hosts_taken: set[str]
+    lock: threading.Lock
 
 
 def _storage_weights(rank: int) -> tuple[tuple[str, float], ...]:
@@ -215,19 +220,22 @@ class SiteGenerator:
         function of ``(seed, config, rank)`` — independent of which
         shard, epoch or worker asks first — which is what lets the
         service daemon resume from a checkpoint into a cache with
-        different history and still reproduce identical worlds.
+        different history and still reproduce identical worlds.  The
+        cache's lock is held across the check and the fill, so thread
+        workers sharing one cache never fill it at the same time.
         """
         cache = self._spec_cache
         if cache is None:
             return self._generate(rank)
-        spec = cache.specs.get(rank)
-        if spec is not None:
-            return spec
-        # All inserts go through this loop, so cache keys are always
-        # the contiguous range 1..len(specs).
-        for missing in range(len(cache.specs) + 1, rank + 1):
-            cache.specs[missing] = self._generate(missing)
-        return cache.specs[rank]
+        with cache.lock:
+            spec = cache.specs.get(rank)
+            if spec is not None:
+                return spec
+            # All inserts go through this loop, so cache keys are always
+            # the contiguous range 1..len(specs).
+            for missing in range(len(cache.specs) + 1, rank + 1):
+                cache.specs[missing] = self._generate(missing)
+            return cache.specs[rank]
 
     def iter_specs(self, up_to: int):
         """Stream specs for ranks ``1..up_to`` in order, O(1) retained.

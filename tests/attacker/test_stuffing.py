@@ -3,13 +3,11 @@ and vectorized dispatch producing the provider world of the batch
 engine's scalar oracle."""
 
 import pytest
-from array import array
 
 from repro.attacker.breach import BreachMethod
 from repro.attacker.stuffing import (
     AttackClass,
     StuffingEngine,
-    _intersect_sorted,
     build_benign_corpus,
 )
 from repro.email_provider.provider import EmailProvider
@@ -100,18 +98,6 @@ class TestCorpus:
         n = len(small)
         assert list(large.users)[:n] == list(small.users)
         assert large.passwords[:n] == small.passwords
-
-
-class TestSortedJoin:
-    def test_join_matches_set_intersection(self):
-        a = array("q", [1, 4, 5, 9, 20, 21, 40])
-        b = array("q", [0, 4, 9, 21, 22, 39, 40, 41])
-        joined = _intersect_sorted(a, b)
-        assert list(joined) == sorted(set(a) & set(b)) == [4, 9, 21, 40]
-
-    def test_empty_and_disjoint_joins(self):
-        assert list(_intersect_sorted(array("q"), array("q", [1]))) == []
-        assert list(_intersect_sorted(array("q", [1, 2]), array("q", [3]))) == []
 
 
 class TestWavePlanning:

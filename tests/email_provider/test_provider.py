@@ -3,6 +3,7 @@
 import pytest
 
 from repro.email_provider.accounts import AccountState, NamingPolicy
+from repro.email_provider.batch import LoginBatch
 from repro.email_provider.provider import EmailProvider, LoginResult
 from repro.email_provider.telemetry import LoginMethod
 from repro.mail.messages import EmailMessage
@@ -10,6 +11,13 @@ from repro.net.ipaddr import IPv4Address
 from repro.sim.clock import SimClock
 from repro.util.rngtree import RngTree
 from repro.util.timeutil import HOUR
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 
 IP = IPv4Address.parse("25.1.2.3")
@@ -328,3 +336,118 @@ class TestDelivery:
     def test_deactivated_account_bounces(self, provider):
         provider.send_spam_from("AlphaUser01", "Secret1234", 100)
         assert not provider.deliver(self.make_message("AlphaUser01@prov.example"))
+
+
+if HAVE_HYPOTHESIS:
+
+    #: (action, row, source-IP index, clock step) with action 0-4 a
+    #: success, 5 a failure and 6 an eviction.
+    _OPS = st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(0, 3),
+            st.integers(0, 4),
+            st.integers(0, 12),
+        ),
+        min_size=20,
+        max_size=150,
+    )
+
+    class TestCompactionProperty:
+        """Eviction against the spec, from the pre-eviction state.
+
+        Tiny thresholds and windows put promotions to hot, demotions
+        back to cold, lockouts and log compactions within reach of a
+        few dozen events on four rows.
+        """
+
+        ROWS = 40
+
+        def make_provider(self):
+            provider = EmailProvider("prop.example", SimClock(1_000_000), RngTree(7))
+            provider.SUSPICION_DISTINCT_IPS = 3
+            provider.SUSPICION_WINDOW = 60
+            provider.BRUTE_FORCE_LIMIT = 3
+            provider.BRUTE_FORCE_WINDOW = 30
+            provider.BRUTE_FORCE_LOCKOUT = 50
+            for i in range(self.ROWS):
+                assert provider.provision(f"prop.user{i:02d}", "P", f"Pw!{i:02d}xyz").created
+            return provider
+
+        @staticmethod
+        def expected_eviction(provider, now):
+            """(throttle, windows, distinct, log length, counts) the spec gives."""
+            cutoff = now - provider.SUSPICION_WINDOW
+            window = provider.BRUTE_FORCE_WINDOW
+            throttle = {
+                row: entry
+                for row, entry in provider._throttle.items()
+                if not (entry[2] <= now and (entry[0] == 0 or now - entry[1] > window))
+            }
+            compacting = len(provider._log_times) and provider._log_times[0] < cutoff
+            windows = {}
+            distinct = list(provider._ip_distinct)
+            window_evicted = 0
+            for row, snap in provider.login_window_snapshot().items():
+                if snap["hot"]:
+                    if snap["entries"][-1][0] < cutoff:  # fully expired: demoted
+                        distinct[row] = 0
+                        window_evicted += 1
+                    else:
+                        windows[row] = snap
+                    continue
+                if not compacting:
+                    windows[row] = snap
+                    continue
+                kept = [(t, ip) for t, ip in snap["entries"] if t >= cutoff]
+                window_evicted += len(snap["entries"]) - len(kept)
+                first = provider._ip_first[row]
+                distinct[row] = sum(ip != first for _, ip in kept) + any(
+                    ip == first for _, ip in kept
+                )
+                if kept:
+                    windows[row] = {"hot": False, "entries": kept, "distinct": distinct[row]}
+            counts = (len(provider._throttle) - len(throttle), window_evicted)
+            # Compaction also reclaims the tombstones promotion left.
+            log_length = len(provider._log_times)
+            if compacting:
+                log_length = sum(len(w["entries"]) for w in windows.values() if not w["hot"])
+            return throttle, windows, distinct, log_length, counts
+
+        @settings(max_examples=60, deadline=None)
+        @given(ops=_OPS)
+        def test_eviction_matches_the_spec(self, ops):
+            provider = self.make_provider()
+            clock = provider._clock
+            for action, row, ip, step in ops:
+                clock.advance(step)
+                local = f"prop.user{row:02d}"
+                source = IPv4Address(0x19000000 + ip)
+                if action < 5:
+                    provider.attempt_login(local, f"Pw!{row:02d}xyz", source, LoginMethod.IMAP)
+                elif action == 5:
+                    provider.attempt_login(local, "wrong", source, LoginMethod.IMAP)
+                else:
+                    now = clock.now()
+                    throttle, windows, distinct, log_length, counts = (
+                        self.expected_eviction(provider, now)
+                    )
+                    assert provider.evict_expired() == counts
+                    assert provider._throttle == throttle
+                    assert provider.login_window_snapshot() == windows
+                    assert list(provider._ip_distinct) == distinct
+                    assert len(provider._log_times) == log_length
+            # A vectorized batch appends to every log column: no numpy
+            # view left over from compaction may pin their buffers.
+            batch = LoginBatch.from_attempts(
+                [
+                    (f"prop.user{i:02d}", f"Pw!{i:02d}xyz", IPv4Address(0x1A000000 + i),
+                     LoginMethod.POP3)
+                    for i in range(self.ROWS)
+                ]
+            )
+            before = len(provider._log_times)
+            receipt = provider.attempt_logins(batch)
+            assert provider.batch_engine_stats()["vector_committed"] > 0
+            assert len(provider._log_times) > before
+            assert receipt.successes > 0

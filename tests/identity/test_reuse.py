@@ -81,9 +81,37 @@ class TestColumnarParity:
     def test_site_passwords_match_scalar(self):
         model = make_model()
         members = model.members(2, 3000)
+        classes = {model.behavior(int(u)) for u in members}
+        assert classes == set(ReuseClass)
         assert model.site_passwords(members, 2) == [
             model.site_password(int(u), 2) for u in members
         ]
+        # Indices far past any population still mint the scalar forms.
+        users = [0, 2**31 - 1, 2**32 + 5, 2**40 + 3]
+        assert model.site_passwords(users, 2) == [
+            model.site_password(u, 2) for u in users
+        ]
+        assert model.site_passwords(model.members(2, 0), 2) == []
+
+    @pytest.mark.parametrize(
+        "rates", [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.5)]
+    )
+    def test_site_passwords_match_scalar_at_extreme_rates(self, rates):
+        model = make_model(exact_rate=rates[0], derive_rate=rates[1])
+        users = range(200)
+        assert model.site_passwords(users, 4) == [
+            model.site_password(u, 4) for u in users
+        ]
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_member_mask_matches_has_account(self, density):
+        model = make_model(site_density=density)
+        users = list(range(3000)) + [2**33 + 1]
+        for rank in (1, 9):
+            assert model.member_mask(users, rank).tolist() == [
+                model.has_account(u, rank) for u in users
+            ]
+        assert model.member_mask([], 9).tolist() == []
 
     def test_cracked_mask_matches_scalar(self):
         model = make_model()

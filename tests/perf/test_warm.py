@@ -1,9 +1,11 @@
 """Warm per-worker world cache: keying, invalidation, bit-identity."""
 
 import dataclasses
+import sys
 
 import pytest
 
+from repro.cli import main
 from repro.core.runner import ShardPlan, pack_overrides, run_shard
 from repro.core.substrate import WorldShard
 from repro.core.system import TripwireSystem
@@ -161,3 +163,37 @@ class TestWarmEqualsCold:
         assert [i.email_local for i in cold_pool.all_identities()] == [
             i.email_local for i in warm_pool.all_identities()
         ]
+
+
+class TestThreadPoolFill:
+    CAMPAIGN = [
+        "campaign", "--top", "40", "--population", "150", "--shards", "4",
+        "--fault-profile", "moderate",
+    ]
+
+    def journal(self, path, extra):
+        _perf.clear_all_caches()
+        assert main(self.CAMPAIGN + extra + ["--obs-out", str(path)]) == 0
+        return path.read_bytes()
+
+    def test_thread_campaign_repeats_the_serial_journal(self, tmp_path):
+        """Thread workers share one warm spec cache.  Filled without its
+        lock, they resolved host collisions against a ``hosts_taken``
+        set other threads were filling, and now and then cached a wrong
+        spec.  A short switch interval makes that interleaving likely
+        on every run."""
+        reference = self.journal(
+            tmp_path / "serial.jsonl",
+            ["--workers", "1", "--executor", "serial", "--no-warm-workers"],
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for run in range(6):
+                journal = self.journal(
+                    tmp_path / f"thread-{run}.jsonl",
+                    ["--workers", "4", "--executor", "thread"],
+                )
+                assert journal == reference, f"thread run {run}"
+        finally:
+            sys.setswitchinterval(interval)

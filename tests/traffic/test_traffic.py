@@ -127,6 +127,16 @@ class TestPopulation:
             is LoginResult.SUCCESS
         )
 
+    def test_home_ip_table_matches_scalar(self):
+        population = BenignPopulation(100_000)
+        table = population.home_ips()
+        assert table.typecode == "Q"
+        assert len(table) == population.size
+        for i in list(range(0, 100_000, 997)) + [99_999]:
+            assert table[i] == benign_home_ip(i)
+        assert population.home_ips() is table
+        assert len(BenignPopulation(0).home_ips()) == 0
+
     def test_population_size_must_match_profile(self):
         profile = TrafficProfile(users=10)
         with pytest.raises(ValueError):

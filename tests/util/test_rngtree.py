@@ -1,10 +1,17 @@
 """Tests for the deterministic RNG tree."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.rngtree import RngTree, sample_distinct, weighted_choice
+from repro.util.rngtree import (
+    RngTree,
+    mt_words,
+    sample_distinct,
+    weighted_choice,
+)
 
 
 class TestRngTree:
@@ -109,3 +116,58 @@ class TestSampleDistinct:
         rng = RngTree(5).rng()
         sample = sample_distinct(rng, [1, 2, 3], 10)
         assert sorted(sample) == [1, 2, 3]
+
+
+class TestMtWords:
+    """The numpy continuation against ``random.Random`` itself."""
+
+    COUNTS = (0, 1, 623, 624, 625, 10**5)
+
+    @staticmethod
+    def twins(consumed: int):
+        """Two generators at the same point, ``consumed`` words in."""
+        rng = RngTree(31).rng()
+        for _ in range(consumed):
+            rng.getrandbits(32)
+        oracle = random.Random()
+        oracle.setstate(rng.getstate())
+        return rng, oracle
+
+    @pytest.mark.parametrize("consumed", [0, 1, 624, 1000])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_words_are_the_next_32_bit_draws(self, consumed, count):
+        rng, oracle = self.twins(consumed)
+        words = mt_words(rng, count)
+        assert words.dtype == "uint32"
+        assert words.tolist() == [oracle.getrandbits(32) for _ in range(count)]
+        # The generator continues exactly where the scalar stream is.
+        assert rng.random() == oracle.random()
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("bits", [1, 24, 29, 32])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_getrandbits_is_one_word_shifted(self, bits, count):
+        rng, oracle = self.twins(5)
+        words = mt_words(rng, count)
+        assert (words >> (32 - bits)).tolist() == [
+            oracle.getrandbits(bits) for _ in range(count)
+        ]
+        assert rng.getrandbits(bits) == oracle.getrandbits(bits)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_random_is_two_words_combined(self, count):
+        rng, oracle = self.twins(3)
+        words = mt_words(rng, 2 * count).astype("uint64")
+        high, low = words[0::2] >> 5, words[1::2] >> 6
+        rolls = ((high << 26) + low).astype("float64") / 2.0**53
+        assert rolls.tolist() == [oracle.random() for _ in range(count)]
+        assert rng.random() == oracle.random()
+
+    def test_gauss_state_survives(self):
+        rng, oracle = self.twins(0)
+        rng.gauss(0.0, 1.0)
+        oracle.gauss(0.0, 1.0)
+        mt_words(rng, 10)
+        for _ in range(10):
+            oracle.getrandbits(32)
+        assert rng.gauss(0.0, 1.0) == oracle.gauss(0.0, 1.0)
