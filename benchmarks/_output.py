@@ -1,15 +1,13 @@
-"""Shared output helpers for the benchmark suite.
+"""Shared output helper for the benchmark suite.
 
-Every bench writes rendered tables to ``benchmarks/output/<name>.txt``
-and machine-readable summaries to ``benchmarks/output/<name>.json``;
-this module is the single place that knows the directory layout and
-serialization conventions (trailing newline, sorted keys, 2-space
-indent) so individual benches and fixtures don't re-implement them.
+Every bench writes its rendered table or figure to
+``benchmarks/output/<name>.txt``; this module is the single place that
+knows the directory layout and the trailing-newline convention, so
+individual benches and fixtures don't re-implement them.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 OUTPUT_DIR = pathlib.Path(__file__).resolve().parent / "output"
@@ -20,13 +18,4 @@ def write_text(name: str, text: str) -> pathlib.Path:
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
-    return path
-
-
-def write_json(name: str, payload: dict) -> pathlib.Path:
-    """Write a machine-readable summary to ``output/<name>.json``."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    path = OUTPUT_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
     return path

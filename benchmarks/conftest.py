@@ -3,14 +3,15 @@
 ``pilot`` runs one moderate-scale pilot (about 5% of the paper's size)
 once per session; the per-table benches then time the analysis builders
 against it and write their rendered output to ``benchmarks/output/``.
-The end-to-end and ablation benches run their own scenarios.
+The ablation, extension and undetected-breach benches run their own
+scenarios.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from _output import OUTPUT_DIR, write_json, write_text
+from _output import OUTPUT_DIR, write_text
 from repro.core.scenario import PilotResult, PilotScenario, ScenarioConfig
 
 __all__ = ["OUTPUT_DIR"]
@@ -42,15 +43,5 @@ def record():
     def _record(name: str, text: str) -> None:
         write_text(name, text)
         print(f"\n{text}\n")
-
-    return _record
-
-
-@pytest.fixture(scope="session")
-def record_json():
-    """Write a machine-readable summary to benchmarks/output/<name>.json."""
-
-    def _record(name: str, payload: dict) -> None:
-        print(f"\nwrote {write_json(name, payload)}\n")
 
     return _record

@@ -4,7 +4,6 @@
     python -m repro survey --population 1500
     python -m repro demo
     python -m repro evasion --trials 20
-    python -m repro perf --quick
     python -m repro campaign --obs-out journal.jsonl
     python -m repro serve --epochs 4 --checkpoint state.ckpt
     python -m repro serve --resume state.ckpt --obs-out journal.jsonl
@@ -16,8 +15,7 @@
 ``pilot`` runs the full study and prints every table and figure;
 ``survey`` runs the Table 4 eligibility measurement; ``demo`` is the
 quickstart detection walk-through; ``evasion`` sweeps the §7.3
-attacker-sampling strategies; ``perf`` runs the A/B performance suite
-and writes the repo-root BENCH snapshot.
+attacker-sampling strategies.
 
 ``serve`` runs the campaign as a long-lived daemon on the sim clock:
 registration waves staggered across epochs, recurring re-login probes,
@@ -222,14 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     evasion = commands.add_parser("evasion", help="attacker evasion sweep (§7.3)")
     evasion.add_argument("--trials", type=int, default=20)
-
-    from repro.perf.suite import add_suite_arguments
-
-    perf = commands.add_parser(
-        "perf",
-        help="A/B performance suite (caches off vs on, bit-identical)",
-    )
-    add_suite_arguments(perf)
     return parser
 
 
@@ -762,12 +752,6 @@ def _run_evasion(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    from repro.perf.suite import run_from_args
-
-    return run_from_args(args)
-
-
 def _run_obs(args: argparse.Namespace) -> int:
     if args.obs_action == "top":
         from repro.obs.top import run_top
@@ -807,7 +791,6 @@ _HANDLERS = {
     "survey": _run_survey,
     "demo": _run_demo,
     "evasion": _run_evasion,
-    "perf": _run_perf,
     "obs": _run_obs,
 }
 

@@ -381,13 +381,13 @@ class CampaignRunner:
     workload) or ``"process"`` (true parallelism; shards rebuild their
     worlds in the worker process from the picklable plan).
 
-    ``warm_workers`` opts shards into the per-worker world cache;
-    ``wire_codec`` ships process-backend results through the compact
-    codec; ``persistent_pool`` keeps the executor's pool alive across
-    :meth:`run` calls so worker processes retain their warm caches
-    (pair with :meth:`close`, or use the runner as a context manager).
-    All three default to the fast path being available but change no
-    output bit.
+    The process backend always ships results through the compact wire
+    codec (:mod:`repro.perf.wire`); threads share memory, so the other
+    backends never encode.  ``warm_workers`` opts shards into the
+    per-worker world cache; ``persistent_pool`` keeps the executor's
+    pool alive across :meth:`run` calls so worker processes retain
+    their warm caches (pair with :meth:`close`, or use the runner as a
+    context manager).  Neither changes an output bit.
     """
 
     def __init__(
@@ -407,7 +407,6 @@ class CampaignRunner:
         obs_enabled: bool = False,
         obs_meta: dict | None = None,
         warm_workers: bool = True,
-        wire_codec: bool = True,
         persistent_pool: bool = False,
         world_store: str | None = None,
     ):
@@ -435,7 +434,6 @@ class CampaignRunner:
         #: values — they would break journal byte-identity.
         self.obs_meta = dict(obs_meta) if obs_meta else {}
         self.warm_workers = warm_workers
-        self.wire_codec = wire_codec
         self.persistent_pool = persistent_pool
         #: Execution-shaped, like ``workers``: never recorded in the
         #: journal meta, and must not change a bit of merged output.
@@ -614,11 +612,10 @@ class CampaignRunner:
         (the position-keyed merger makes completion order irrelevant),
         and the first shard failure propagates immediately — remaining
         futures are cancelled rather than drained.  The process
-        backend ships results through the wire codec when enabled;
-        threads share memory, so the codec would be pure overhead
-        there.
+        backend ships results through the wire codec; threads share
+        memory, so the codec would be pure overhead there.
         """
-        use_codec = self.executor == "process" and self.wire_codec
+        use_codec = self.executor == "process"
         work = run_shard_wire if use_codec else run_shard
         pool = self._acquire_pool()
         try:

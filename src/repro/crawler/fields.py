@@ -292,8 +292,7 @@ def classify_field_reference(
 ) -> tuple[FieldMeaning, float]:
     """The naive reference classifier (pre-fusion semantics, verbatim).
 
-    Retained as the oracle the fused implementation is tested against;
-    also what the perf suite times as the classification baseline.
+    Retained as the oracle the fused implementation is tested against.
     """
     scores: dict[FieldMeaning, float] = {}
     _type_priors(field.input_type, scores)

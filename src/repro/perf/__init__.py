@@ -1,10 +1,11 @@
-"""The hot-path performance layer: caches, fused matchers, perf suite.
+"""The hot-path performance layer: caches, warm workers, wire codec.
 
 The layer is pure memoization and algorithmic fusion over functions
 that are already deterministic — it may never change an output bit.
 ``repro.perf.caching`` holds the shared switch and cache registry;
-``repro.perf.suite`` is the named benchmark suite behind both
-``repro perf`` and ``benchmarks/perfsuite.py``.
+``repro.perf.suite`` gates the observation and flight-recorder
+overhead budgets (``python -m repro.perf.suite``).  Throughput is
+measured by the repository benchmark, ``perfbench/run.py``.
 """
 
 from repro.perf.caching import (

@@ -25,8 +25,9 @@ from collections import OrderedDict
 from typing import Callable, Hashable
 
 #: Master switch.  Default on; the environment variable and
-#: :func:`set_enabled` exist for the perf suite's baseline runs and for
-#: debugging ("is the cache lying to me?" — it must never be).
+#: :func:`set_enabled` exist for the caches-off oracle runs (the golden
+#: pilot pin runs with the caches off and on) and for debugging ("is
+#: the cache lying to me?" — it must never be).
 _ENABLED = os.environ.get("REPRO_PERF_DISABLE", "") in ("", "0")
 
 #: Every LruCache ever constructed, by name, for stats and clearing.
@@ -42,10 +43,10 @@ def enabled() -> bool:
 
 
 def set_enabled(value: bool) -> None:
-    """Toggle the layer (used by the perf suite's baseline runs).
+    """Toggle the layer (tests use it for their caches-off oracle runs).
 
     Disabling also clears every registered cache so a later re-enable
-    starts cold — keeping A/B timings honest.
+    starts cold, with counters at zero.
     """
     global _ENABLED
     _ENABLED = bool(value)
@@ -111,9 +112,9 @@ class LruCache:
     def clear(self) -> None:
         """Empty the cache AND reset its counters.
 
-        A/B runs toggle the layer via :func:`set_enabled` (which clears
-        every cache); counters must restart from zero so the optimized
-        leg's hit rates aren't polluted by the baseline leg.
+        Toggling the layer via :func:`set_enabled` clears every cache;
+        counters restart from zero so a caches-on run's hit counts
+        aren't polluted by an earlier run.
         """
         self._data.clear()
         self.hits = 0

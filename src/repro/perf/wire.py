@@ -298,83 +298,3 @@ def decode_shard_bytes(data: bytes) -> "ShardResult":
 def pickled_size(result: "ShardResult") -> int:
     """Reference size: default pickling of the full object graph."""
     return len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-# -- stuffing-wave payloads -------------------------------------------------
-
-#: Bump on any change to the stuffing wave layout; decoders check it.
-STUFFING_WIRE_SCHEMA = 1
-
-
-def encode_stuffing_wave(result, strings: Interner) -> tuple:
-    """One :class:`~repro.attacker.stuffing.StuffingWaveResult`, flat.
-
-    Hosts and channel names intern (campaign waves repeat them); the
-    ``hit_users`` column ships as its raw ``array('q')`` bytes instead
-    of a pickled list of ints.
-    """
-    s = strings.add
-    return (
-        result.wave,
-        result.site_rank,
-        s(result.site_host),
-        s(result.method),
-        s(result.acquisition),
-        result.candidates,
-        result.attempts,
-        result.successes,
-        result.bad_passwords,
-        result.throttled,
-        result.hit_users.tobytes(),
-        tuple(
-            (t.target_rank, t.candidates, t.hits) for t in result.site_targets
-        ),
-    )
-
-
-def decode_stuffing_wave(row: tuple, strings: list):
-    from array import array
-
-    from repro.attacker.stuffing import SiteTargetReport, StuffingWaveResult
-
-    hit_users = array("q")
-    hit_users.frombytes(row[10])
-    return StuffingWaveResult(
-        wave=row[0],
-        site_rank=row[1],
-        site_host=strings[row[2]],
-        method=strings[row[3]],
-        acquisition=strings[row[4]],
-        candidates=row[5],
-        attempts=row[6],
-        successes=row[7],
-        bad_passwords=row[8],
-        throttled=row[9],
-        hit_users=hit_users,
-        site_targets=[
-            SiteTargetReport(target_rank=t[0], candidates=t[1], hits=t[2])
-            for t in row[11]
-        ],
-    )
-
-
-def encode_stuffing_bytes(waves) -> bytes:
-    """A campaign's wave results as one compact bytes blob."""
-    strings = Interner()
-    rows = [encode_stuffing_wave(w, strings) for w in waves]
-    return pickle.dumps(
-        (STUFFING_WIRE_SCHEMA, strings.table, rows),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def decode_stuffing_bytes(data: bytes) -> list:
-    """Inverse of :func:`encode_stuffing_bytes`."""
-    wire = pickle.loads(data)
-    if not wire or wire[0] != STUFFING_WIRE_SCHEMA:
-        raise ValueError(
-            f"unsupported stuffing wire schema {wire[0] if wire else None!r} "
-            f"(codec supports {STUFFING_WIRE_SCHEMA})"
-        )
-    _, strings, rows = wire
-    return [decode_stuffing_wave(row, strings) for row in rows]

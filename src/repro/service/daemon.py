@@ -210,7 +210,6 @@ class CampaignDaemon:
             fault_plan=cfg.fault_plan,
             obs_enabled=True,
             warm_workers=cfg.warm_workers,
-            wire_codec=cfg.wire_codec,
             persistent_pool=True,
             world_store=cfg.world_store,
         )

@@ -82,7 +82,6 @@ class ServiceConfig:
     workers: int = 1
     executor: str = "serial"
     warm_workers: bool = True
-    wire_codec: bool = True
     checkpoint_every: int = 1
     #: Max events per traffic batch and bound of the backpressure queue
     #: between generator and login engine.  Execution-shaping: batch

@@ -53,6 +53,15 @@ def world_state(provider):
     }
 
 
+def dispatch_wave(engine, corpus):
+    """Plan and dispatch one wave: its per-event result codes and record."""
+    wave = engine.plan_wave(corpus)
+    codes = bytearray()
+    for batch in wave.batches:
+        codes.extend(engine.dispatch_batch(batch))
+    return codes, engine.collect(wave, codes)
+
+
 class TestCorpus:
     def test_online_capture_takes_every_member(self, model):
         corpus = build_benign_corpus(
@@ -172,10 +181,11 @@ class TestDispatchEquivalence:
             model, UNIVERSE, 7, "breached.test", BreachMethod.ONLINE_CAPTURE
         )
         provider_b, engine_b = make_engine(model, batch_events=32)
-        result_b = engine_b.execute_wave(engine_b.plan_wave(corpus))
+        codes_b, result_b = dispatch_wave(engine_b, corpus)
         with scalar_oracle():
             provider_s, engine_s = make_engine(model, batch_events=32)
-            result_s = engine_s.execute_wave(engine_s.plan_wave(corpus))
+            codes_s, result_s = dispatch_wave(engine_s, corpus)
+        assert codes_b == codes_s
         assert world_state(provider_b) == world_state(provider_s)
         assert result_b == result_s
         # The wave is failure-heavy, and its failures took the

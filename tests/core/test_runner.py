@@ -207,20 +207,19 @@ class TestScaleOutExecutor:
         assert all(size > 0 for size in result.wire_bytes.values())
 
     def test_no_wire_bytes_without_codec(self, sites):
-        serial = CampaignRunner(
-            seed=SEED, population_size=POPULATION, shards=4
-        ).run(sites)
-        assert serial.wire_bytes == {}
-        no_codec = CampaignRunner(
-            seed=SEED, population_size=POPULATION, shards=4,
-            workers=2, executor="process", wire_codec=False,
-        ).run(sites)
-        assert no_codec.wire_bytes == {}
+        """Only the process backend encodes; the serial and thread
+        backends share memory and record no wire bytes."""
+        for executor in ("serial", "thread"):
+            result = CampaignRunner(
+                seed=SEED, population_size=POPULATION, shards=4,
+                workers=2, executor=executor,
+            ).run(sites)
+            assert result.wire_bytes == {}, executor
 
     def test_codec_and_warm_do_not_change_results(self, sites):
         reference = CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
-            warm_workers=False, wire_codec=False,
+            warm_workers=False,
         ).run(sites)
         fast = CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
@@ -231,18 +230,26 @@ class TestScaleOutExecutor:
         assert fast.telemetry == reference.telemetry
 
     def test_persistent_pool_reuse_and_close(self, sites):
+        cold = CampaignRunner(
+            seed=SEED, population_size=POPULATION, shards=4,
+            warm_workers=False, obs_enabled=True,
+        ).run(sites)
         with CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
             workers=2, executor="process", persistent_pool=True,
+            obs_enabled=True,
         ) as runner:
             first = runner.run(sites)
             pool = runner._pool
             assert pool is not None
             second = runner.run(sites)
             assert runner._pool is pool  # same pool, workers kept warm
-            assert fingerprint(first) == fingerprint(second)
         assert runner._pool is None  # context exit shut it down
         runner.close()  # idempotent
+        # The warm pool's steady-state run repeats the cold serial bytes.
+        for run in (first, second):
+            assert fingerprint(run) == fingerprint(cold)
+            assert run.journal.to_jsonl() == cold.journal.to_jsonl()
 
     def test_worker_error_propagates(self, sites):
         # A population far smaller than the crawled ranks makes every

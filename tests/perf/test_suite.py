@@ -1,130 +1,36 @@
-"""Tests for the perf suite's gating logic and one real quick bench."""
+"""The overhead suite's identity checks, one arm run each, never timed.
 
-import json
+``python -m repro.perf.suite`` gates the wall-time budgets; these tests
+pin only what each leg asserts about results, on small configs.
+"""
 
-import pytest
+import dataclasses
 
-from repro.perf import caching as _perf
 from repro.perf.suite import (
-    BENCH_INDEX,
-    BenchResult,
-    check_against_baseline,
-    main,
-    render_summary,
-    run_suite,
+    daemon_config,
+    flight_problems,
+    pilot_config,
+    pilot_problems,
+    run_daemon,
+    run_pilot,
 )
 
 
-@pytest.fixture(autouse=True)
-def leave_enabled():
-    yield
-    _perf.set_enabled(True)
+def test_obs_leg_observation_leaves_the_pilot_unchanged():
+    config = pilot_config()
+    off = run_pilot(config, observed=False)
+    on = run_pilot(config, observed=True)
+    assert off.campaign.attempts and off.detected_hosts
+    assert pilot_problems(off, on) == []
 
 
-def result(name="classify_micro", baseline=1.0, optimized=0.25, gated=True,
-           **extras) -> BenchResult:
-    return BenchResult(name=name, kind="micro", baseline_seconds=baseline,
-                       optimized_seconds=optimized, gated=gated, extras=extras)
-
-
-def payload_with(*results: BenchResult) -> dict:
-    return {
-        "schema_version": 1,
-        "bench_index": BENCH_INDEX,
-        "quick": True,
-        "cpu_count": 4,
-        "benches": {r.name: r.as_dict() for r in results},
-    }
-
-
-class TestBenchResult:
-    def test_speedup_is_baseline_over_optimized(self):
-        assert result(baseline=2.0, optimized=0.5).speedup == 4.0
-
-    def test_zero_optimized_time_is_infinite_speedup(self):
-        assert result(optimized=0.0).speedup == float("inf")
-
-    def test_as_dict_carries_extras_and_gating(self):
-        as_dict = result(gated=False, identical=True).as_dict()
-        assert as_dict["speedup"] == 4.0
-        assert as_dict["gated"] is False
-        assert as_dict["identical"] is True
-
-
-class TestBaselineCheck:
-    def test_passes_when_speedups_hold(self):
-        baseline = payload_with(result())
-        current = payload_with(result(baseline=0.9, optimized=0.3))
-        assert check_against_baseline(current, baseline) == []
-
-    def test_passes_within_the_generous_budget(self):
-        baseline = payload_with(result(baseline=4.0, optimized=1.0))  # 4x
-        current = payload_with(result(baseline=2.2, optimized=1.0))  # 2.2x > 4/2
-        assert check_against_baseline(current, baseline) == []
-
-    def test_fails_when_speedup_halves_and_more(self):
-        baseline = payload_with(result(baseline=4.0, optimized=1.0))  # 4x
-        current = payload_with(result(baseline=1.5, optimized=1.0))  # 1.5x < 2x
-        failures = check_against_baseline(current, baseline)
-        assert len(failures) == 1
-        assert "classify_micro" in failures[0]
-
-    def test_missing_bench_fails(self):
-        failures = check_against_baseline(payload_with(), payload_with(result()))
-        assert failures == ["classify_micro: missing from current run"]
-
-    def test_ungated_bench_never_fails_on_ratio(self):
-        baseline = payload_with(result(name="sharded_campaign", baseline=4.0,
-                                       optimized=1.0, gated=False))
-        current = payload_with(result(name="sharded_campaign", baseline=1.0,
-                                      optimized=4.0, gated=False))
-        assert check_against_baseline(current, baseline) == []
-
-    def test_lost_bit_identity_fails_even_when_fast(self):
-        baseline = payload_with(result(identical=True))
-        current = payload_with(result(baseline=9.0, identical=False))
-        failures = check_against_baseline(current, baseline)
-        assert any("bit-identical" in failure for failure in failures)
-
-
-class TestRenderSummary:
-    def test_lists_benches_and_flags(self):
-        payload = payload_with(
-            result(identical=True),
-            result(name="sharded_campaign", gated=False),
-        )
-        text = render_summary(payload)
-        assert "classify_micro" in text
-        assert "identical" in text
-        assert "ungated" in text
-
-    def test_single_core_warning_is_surfaced(self):
-        payload = payload_with(result())
-        payload["single_core_warning"] = "only one core"
-        assert "WARNING" in render_summary(payload)
-
-
-class TestRealQuickBench:
-    def test_parse_and_render_benches_run(self):
-        payload = run_suite(quick=True, only=["parse", "render"])
-        assert payload["benches"]["parse_micro"]["bodies"] > 0
-        assert payload["benches"]["render_micro"]["specs"] > 0
-        assert _perf.enabled()  # the A/B runs restore the switch
-
-    def test_classify_bench_runs_and_reports_identical(self):
-        payload = run_suite(quick=True, only=["classify"])
-        bench = payload["benches"]["classify_micro"]
-        assert bench["identical"] is True
-        assert bench["speedup"] > 1.0
-        assert payload["bench_index"] == BENCH_INDEX
-
-    def test_main_writes_snapshot_and_checks_baseline(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_test.json"
-        baseline = tmp_path / "baseline.json"
-        assert main(["--quick", "--only", "classify",
-                     "--output", str(output)]) == 0
-        snapshot = json.loads(output.read_text())
-        baseline.write_text(json.dumps(snapshot))
-        assert main(["--quick", "--only", "classify", "--no-write",
-                     "--check", str(baseline)]) == 0
-        assert "regression check passed" in capsys.readouterr().out
+def test_flight_leg_recorder_adds_only_health_lines(tmp_path):
+    config = dataclasses.replace(
+        daemon_config(), top=40, population_size=300, epochs=2, shards=2,
+        traffic_users=200,
+    )
+    flight_path = tmp_path / "flight.jsonl"
+    off = run_daemon(config, None)
+    on = run_daemon(config, flight_path)
+    assert '"health.' in on.journal.to_jsonl()
+    assert flight_problems(config, off, on, flight_path) == []

@@ -101,6 +101,15 @@ class TestWorldForPlan:
         _perf.set_enabled(True)
         assert world_for_plan(plan) is not before
 
+    def test_serial_sharded_campaign_hits_the_cache(self, capsys):
+        """The four shards of one serial campaign share a world: the
+        first builds it and the other three hit it.  (The golden pilot
+        pin guards the other caches; the pilot never shards.)"""
+        assert main(["campaign", "--top", "40", "--population", "150",
+                     "--shards", "4"]) == 0
+        stats = _perf.cache_stats()["warm.worlds"]
+        assert (stats["hits"], stats["misses"]) == (3, 1)
+
 
 def shard_fingerprint(result):
     return [

@@ -178,95 +178,3 @@ class TestRealShard:
         blob = encode_shard_bytes(result)
         assert decode_shard_bytes(blob) == result
         assert len(blob) < pickled_size(result)
-
-
-class TestStuffingWaves:
-    """The stuffing-result payloads round-trip losslessly."""
-
-    @staticmethod
-    def make_waves():
-        from array import array
-
-        from repro.attacker.stuffing import SiteTargetReport, StuffingWaveResult
-
-        return [
-            StuffingWaveResult(
-                wave=0,
-                site_rank=17,
-                site_host="breached.example",
-                method="online_capture",
-                acquisition="online_capture",
-                candidates=120,
-                attempts=120,
-                successes=40,
-                bad_passwords=80,
-                throttled=0,
-                hit_users=array("q", [3, 17, 44, 90]),
-                site_targets=[
-                    SiteTargetReport(target_rank=9, candidates=12, hits=5),
-                    SiteTargetReport(target_rank=31, candidates=7, hits=2),
-                ],
-            ),
-            StuffingWaveResult(
-                wave=1,
-                site_rank=9,
-                site_host="other.example",
-                method="db_dump",
-                acquisition="offline_crack",
-                candidates=60,
-                attempts=60,
-                successes=11,
-                bad_passwords=48,
-                throttled=1,
-                hit_users=array("q"),
-                site_targets=[],
-            ),
-        ]
-
-    def test_round_trip_is_lossless(self):
-        from repro.perf.wire import decode_stuffing_bytes, encode_stuffing_bytes
-
-        waves = self.make_waves()
-        decoded = decode_stuffing_bytes(encode_stuffing_bytes(waves))
-        assert decoded == waves
-
-    def test_repeated_hosts_intern_once(self):
-        from repro.perf.wire import Interner, encode_stuffing_wave
-
-        waves = self.make_waves() + self.make_waves()
-        strings = Interner()
-        for wave in waves:
-            encode_stuffing_wave(wave, strings)
-        assert strings.table.count("breached.example") == 1
-        assert strings.table.count("online_capture") == 1
-
-    def test_wrong_schema_rejected(self):
-        from repro.perf.wire import (
-            STUFFING_WIRE_SCHEMA,
-            decode_stuffing_bytes,
-            encode_stuffing_bytes,
-        )
-
-        wire = list(pickle.loads(encode_stuffing_bytes(self.make_waves())))
-        wire[0] = STUFFING_WIRE_SCHEMA + 1
-        with pytest.raises(ValueError, match="stuffing wire schema"):
-            decode_stuffing_bytes(pickle.dumps(tuple(wire)))
-
-    def test_service_waves_round_trip_from_a_live_run(self):
-        """What serve actually produces survives the codec."""
-        from repro.perf.wire import decode_stuffing_bytes, encode_stuffing_bytes
-        from repro.service.daemon import CampaignDaemon
-        from repro.service.scheduler import ServiceConfig
-        from repro.util.timeutil import DAY
-
-        config = ServiceConfig(
-            seed=29, population_size=120, top=4, shards=1, epochs=1,
-            epoch_length=8 * DAY, traffic_users=200,
-            stuffing_interval=3 * DAY, stuffing_site_density=0.2,
-        )
-        result = CampaignDaemon(config).run()
-        assert result.stuffing_waves, "run produced no stuffing waves"
-        decoded = decode_stuffing_bytes(
-            encode_stuffing_bytes(result.stuffing_waves)
-        )
-        assert decoded == result.stuffing_waves
