@@ -14,6 +14,7 @@ to exactly one site.
 from __future__ import annotations
 
 import enum
+import heapq
 
 from repro.identity.records import Identity
 from repro.perf import caching as _perf
@@ -49,6 +50,12 @@ class IdentityPool:
         # stale.  setdefault preserves the linear scan's first-match
         # semantics should two identities ever share an address.
         self._by_email: dict[str, Identity] = {}
+        # One min-heap of available ids per password class, for
+        # checkout_any.  add and release push; an id that has since left
+        # AVAILABLE is popped when it reaches the top (lazy deletion),
+        # so checkout by id and burn touch no heap.  Every AVAILABLE id
+        # is always on its class heap.
+        self._available: dict[object, list[int]] = {}
 
     # -- intake -------------------------------------------------------------
 
@@ -59,6 +66,7 @@ class IdentityPool:
         self._identities[identity.identity_id] = identity
         self._states[identity.identity_id] = IdentityState.AVAILABLE
         self._by_email.setdefault(identity.email_address.lower(), identity)
+        self._push_available(identity)
 
     def add_control(self, identity: Identity) -> None:
         """Add a control identity: monitored, never used on any site."""
@@ -85,16 +93,45 @@ class IdentityPool:
         """Reserve the lowest-id available identity, or None if empty.
 
         ``password_class`` restricts the search to identities of one
-        :class:`repro.identity.passwords.PasswordClass`.
+        :class:`repro.identity.passwords.PasswordClass`.  With the
+        ``repro.perf`` layer off, the sorted scan answers instead of the
+        heaps; both pick the same identity.
         """
+        if _perf.enabled():
+            heaps = (
+                self._available.values()
+                if password_class is None
+                else [self._available.get(password_class, [])]
+            )
+            heads = [heap[0] for heap in map(self._clean_head, heaps) if heap]
+            identity_id = min(heads, default=None)
+        else:
+            identity_id = self._scan_available(password_class)
+        if identity_id is None:
+            return None
+        return self.checkout(identity_id, site_host)
+
+    def _scan_available(self, password_class: object | None) -> int | None:
+        """The lowest available id by a sorted scan (the caches-off oracle)."""
         for identity_id in sorted(self._states):
             if self._states[identity_id] is not IdentityState.AVAILABLE:
                 continue
             identity = self._identities[identity_id]
             if password_class is not None and identity.password_class is not password_class:
                 continue
-            return self.checkout(identity_id, site_host)
+            return identity_id
         return None
+
+    def _push_available(self, identity: Identity) -> None:
+        heap = self._available.setdefault(identity.password_class, [])
+        heapq.heappush(heap, identity.identity_id)
+
+    def _clean_head(self, heap: list[int]) -> list[int]:
+        """Pop ids that are no longer available off the top; return the heap."""
+        states = self._states
+        while heap and states[heap[0]] is not IdentityState.AVAILABLE:
+            heapq.heappop(heap)
+        return heap
 
     def burn(self, identity_id: int) -> None:
         """Permanently associate a checked-out identity with its site.
@@ -117,6 +154,7 @@ class IdentityPool:
             raise BurnedIdentityError(f"identity {identity_id} is {state.value}, cannot release")
         self._states[identity_id] = IdentityState.AVAILABLE
         self._checked_out_to.pop(identity_id)
+        self._push_available(self._identities[identity_id])
 
     # -- queries ------------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Tests for identity pool burn semantics (Section 4.3.1)."""
 
+import contextlib
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.identity.pool import (
     IdentityState,
     UnknownIdentityError,
 )
+from repro.perf import caching as _perf
 from repro.util.rngtree import RngTree
 
 
@@ -154,3 +158,151 @@ def test_state_machine_never_corrupts(operations):
     final = pool.state(identity.identity_id)
     if final is IdentityState.BURNED:
         assert pool.site_for(identity.identity_id) == "s.test"
+
+
+# -- the available-id heaps against the sorted-scan oracle -------------------
+
+
+@contextlib.contextmanager
+def perf_layer(enabled):
+    """The perf layer switched on or off for one block; restored after."""
+    was_enabled = _perf.enabled()
+    _perf.set_enabled(enabled)
+    try:
+        yield
+    finally:
+        _perf.set_enabled(was_enabled)
+
+
+_TEMPLATES = {
+    password_class: IdentityFactory(RngTree(5)).create(password_class)
+    for password_class in PasswordClass
+}
+
+
+def _identity(identity_id, password_class):
+    return dataclasses.replace(
+        _TEMPLATES[password_class], identity_id=identity_id, email_local=f"id{identity_id}"
+    )
+
+
+_IDS = st.integers(0, 7)
+_TARGET_STATE = {
+    "checkout": IdentityState.AVAILABLE,
+    "burn": IdentityState.CHECKED_OUT,
+    "release": IdentityState.CHECKED_OUT,
+}
+
+
+def _draw_operation(data, states):
+    """One operation; an id operation targets a legal id half the time."""
+    name = data.draw(
+        st.sampled_from(["add", "add_control", "checkout", "checkout_any", "burn", "release"])
+    )
+    if name == "checkout_any":
+        return name, data.draw(st.sampled_from([*PasswordClass, None]))
+    if name in ("add", "add_control"):
+        return name, data.draw(_IDS), data.draw(st.sampled_from(PasswordClass))
+    legal = [i for i, state in states.items() if state is _TARGET_STATE[name]]
+    return name, data.draw(st.sampled_from(legal) | _IDS if legal else _IDS)
+
+
+def _apply(pool, operation):
+    """Run one operation; its returned id, or the type of what it raised."""
+    name, *args = operation
+    try:
+        if name in ("add", "add_control"):
+            getattr(pool, name)(_identity(*args))
+            return None
+        if name == "checkout":
+            return pool.checkout(args[0], "s.test").identity_id
+        if name == "checkout_any":
+            identity = pool.checkout_any("s.test", args[0])
+            return None if identity is None else identity.identity_id
+        getattr(pool, name)(args[0])
+        return None
+    except (BurnedIdentityError, UnknownIdentityError, ValueError) as error:
+        return type(error)
+
+
+def _states(pool):
+    states = {}
+    for identity_id in range(8):
+        try:
+            states[identity_id] = pool.state(identity_id)
+        except UnknownIdentityError:
+            states[identity_id] = None
+    return states
+
+
+@given(st.data())
+def test_heaps_match_the_sorted_scan(data):
+    """Property: with the caches on, every operation answers as the scan does."""
+    heaps, scan = IdentityPool(), IdentityPool()
+
+    def step(operation):
+        with perf_layer(True):
+            fast = _apply(heaps, operation)
+        with perf_layer(False):
+            slow = _apply(scan, operation)
+        assert fast == slow, operation
+        assert _states(heaps) == _states(scan), operation
+
+    # Start from up to eight identities added in any id order and class mix.
+    for identity_id in data.draw(st.permutations(range(8)))[: data.draw(st.integers(0, 8))]:
+        step(("add", identity_id, data.draw(st.sampled_from(PasswordClass))))
+    for _ in range(data.draw(st.integers(0, 40))):
+        step(_draw_operation(data, _states(scan)))
+
+
+class TestAvailableHeaps:
+    def test_released_id_below_the_heap_top_comes_back_first(self):
+        pool = IdentityPool()
+        for identity_id in (1, 2, 3):
+            pool.add(_identity(identity_id, PasswordClass.HARD))
+        with perf_layer(True):
+            assert pool.checkout_any("a.test", PasswordClass.HARD).identity_id == 1
+            # Pops 1 off the heap and leaves the checked-out 2 on top.
+            assert pool.checkout_any("b.test").identity_id == 2
+            pool.release(1)
+            assert pool.checkout_any("c.test", PasswordClass.HARD).identity_id == 1
+            assert pool.checkout_any("d.test").identity_id == 3
+            assert pool.checkout_any("e.test") is None
+
+    def test_no_class_takes_the_smallest_head_across_classes(self):
+        pool = IdentityPool()
+        pool.add(_identity(4, PasswordClass.HARD))
+        pool.add(_identity(2, PasswordClass.EASY))
+        pool.add(_identity(1, PasswordClass.HARD))
+        pool.checkout(1, "a.test")
+        with perf_layer(True):
+            assert pool.checkout_any("b.test").identity_id == 2
+            assert pool.checkout_any("c.test").identity_id == 4
+            assert pool.checkout_any("d.test", PasswordClass.EASY) is None
+
+    def test_caches_on_never_fall_back_to_the_scan(self, pool_with_identities, monkeypatch):
+        pool, identities = pool_with_identities
+
+        def no_scan(password_class):
+            raise AssertionError("checkout_any fell back to the sorted scan")
+
+        monkeypatch.setattr(pool, "_scan_available", no_scan)
+        with perf_layer(True):
+            for password_class in (PasswordClass.EASY, PasswordClass.HARD, None):
+                assert pool.checkout_any("s.test", password_class) is not None
+            pool.release(identities[0].identity_id)
+            assert pool.checkout_any("s.test").identity_id == identities[0].identity_id
+
+    def test_caches_off_answer_by_the_scan(self, pool_with_identities, monkeypatch):
+        pool, identities = pool_with_identities
+        scanned = []
+        scan = pool._scan_available
+
+        def counting_scan(password_class):
+            scanned.append(password_class)
+            return scan(password_class)
+
+        monkeypatch.setattr(pool, "_scan_available", counting_scan)
+        with perf_layer(False):
+            assert pool.checkout_any("s.test").identity_id == identities[0].identity_id
+        assert scanned == [None]
