@@ -17,16 +17,19 @@ mirror of the benign traffic stack:
   evaluated at those rows, says they hold an account there — and
   dispatches the provider-side wave through
   :meth:`~repro.email_provider.provider.EmailProvider.attempt_logins`
-  in bounded :class:`~repro.email_provider.batch.LoginBatch` columns,
-  whose scalar oracle is the batch engine's own serial loop;
+  in bounded row :class:`~repro.email_provider.batch.LoginBatch`
+  columns: the provider password matches the haul exactly for EXACT
+  reusers, so the wave's ``own`` mask is the corpus's EXACT codes, and
+  the batch engine's serial scalar oracle checks it against the spelled
+  out ``site_password`` strings;
 - cross-site fan-out against non-provider targets is resolved from
-  the reuse model directly (site T accepts the site-S password iff
-  the user is an EXACT reuser — modulo deliberate derived-suffix
-  collisions), producing per-target hit tallies the correlation
-  analysis consumes.
+  the reuse model's lanes directly (site T accepts the site-S password
+  iff the user is an EXACT reuser, a DERIVED one whose 16-bit suffixes
+  at S and T collide, or a UNIQUE one whose 64-bit lanes do),
+  producing per-target hit tallies the correlation analysis consumes.
 
-Wave planning is **dispatch-independent**: every event column (user,
-password, source IP, method) is fully generated before any batch is
+Wave planning is **dispatch-independent**: every event column (row,
+claim mask, source IP, method) is fully generated before any batch is
 authenticated, so journal bytes cannot reveal which path of the batch
 engine (vectorized or scalar oracle) authenticated a wave.  Per-wave
 randomness draws from ``rng_tree.child("stuffing", str(wave))`` — one
@@ -44,14 +47,14 @@ import enum
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import eq
+from functools import partial
 
 import numpy as np
 
 from repro.attacker.breach import BreachMethod
 from repro.email_provider.batch import LoginBatch
 from repro.email_provider.telemetry import METHOD_CODES, LoginMethod
-from repro.identity.reuse import CrossSiteReuseModel
+from repro.identity.reuse import CrossSiteReuseModel, ReuseClass
 from repro.util.rngtree import RngTree, mt_words
 from repro.util.timeutil import SimInstant
 
@@ -91,11 +94,15 @@ class AttackClass(enum.Enum):
 class BreachCorpus:
     """One breached site's haul against the benign population, columnar.
 
-    ``users`` (sorted user indices) and ``passwords`` are parallel:
-    row *i* says the attacker holds ``passwords[i]`` for benign user
-    ``users[i]``.  ``universe`` records the population size the corpus
-    was derived against (membership is prefix-closed, so a corpus is
-    valid for any provider holding at least that many benign rows).
+    ``users`` (sorted user indices) and ``codes`` (their
+    :class:`~repro.identity.reuse.ReuseClass` codes) are parallel: row
+    *i* says the attacker holds what site ``site_rank`` stores for
+    benign user ``users[i]`` — ``model.site_password(users[i],
+    site_rank)``, which the class code and the model's per-site lanes
+    determine without spelling it out.  ``universe`` records the
+    population size the corpus was derived against (membership is
+    prefix-closed, so a corpus is valid for any provider holding at
+    least that many benign rows).
     """
 
     site_rank: int
@@ -104,7 +111,7 @@ class BreachCorpus:
     wave: int
     universe: int
     users: array
-    passwords: list[str]
+    codes: bytearray
 
     def __len__(self) -> int:
         return len(self.users)
@@ -138,7 +145,6 @@ def build_benign_corpus(
         kept = array("q")
         kept.frombytes(np.frombuffer(members, dtype=np.int64)[mask].tobytes())
         members = kept
-    passwords = model.site_passwords(members, site_rank)
     return BreachCorpus(
         site_rank=site_rank,
         site_host=site_host,
@@ -146,8 +152,16 @@ def build_benign_corpus(
         wave=wave,
         universe=universe,
         users=members,
-        passwords=passwords,
+        codes=model.behaviors(members),
     )
+
+
+def _claim_site_password(
+    model: CrossSiteReuseModel, site_rank: int, first_row: int, row: int, own: bool
+) -> str:
+    """The password a stuffed login claims: what the breached site
+    stores for the row's user, whatever the ``own`` mask says."""
+    return model.site_password(row - first_row, site_rank)
 
 
 @dataclass(frozen=True)
@@ -206,10 +220,10 @@ class StuffingWaveResult:
 class StuffingEngine:
     """Plans and dispatches stuffing waves against one provider.
 
-    Holds the reuse model, the registered population (for the shared
-    locals table and ``first_row``) and a namespaced RNG tree; the
-    provider's login state is the provider's own, so stuffed, benign
-    and scalar logins interleave freely.
+    Holds the reuse model, the registered population (for its size and
+    ``first_row``) and a namespaced RNG tree; the provider's login
+    state is the provider's own, so stuffed, benign and scalar logins
+    interleave freely.
     """
 
     def __init__(
@@ -260,46 +274,36 @@ class StuffingEngine:
         # prefix below the first out-of-range index.
         cut = bisect_left(corpus.users, population.size)
         users = corpus.users[:cut]
-        passwords = corpus.passwords[:cut]
         n = len(users)
         users_np = np.frombuffer(users, dtype=np.int64)
 
         # The scalar draws, as columns: n getrandbits(24) (one word
         # each), then n random() (two words each).
         words = mt_words(self._tree.child(str(corpus.wave)).rng(), 3 * n)
-        ips = array("Q")
-        proxies = (words[:n] >> (32 - PROXY_BITS)).astype(np.uint64)
-        ips.frombytes((PROXY_BASE | proxies).tobytes())
+        ips = np.uint64(PROXY_BASE) | (words[:n] >> (32 - PROXY_BITS)).astype(np.uint64)
         high = (words[n::2] >> 5).astype(np.uint64)
         low = (words[n + 1 :: 2] >> 6).astype(np.uint64)
         rolls = ((high << np.uint64(26)) + low).astype(np.float64) / 2.0**53
-        methods = bytearray(
-            _STUFFING_METHOD_CODES[
-                np.searchsorted(_STUFFING_THRESHOLDS, rolls, side="right")
-            ].tobytes()
+        methods = _STUFFING_METHOD_CODES[
+            np.searchsorted(_STUFFING_THRESHOLDS, rolls, side="right")
+        ]
+
+        rows = users_np + population.first_row
+        own = np.frombuffer(corpus.codes, dtype=np.uint8)[:cut] == ReuseClass.EXACT
+        claim = partial(
+            _claim_site_password, self._model, corpus.site_rank, population.first_row
         )
-
-        locals_table, _ = population.credentials()
-        keys = list(map(locals_table.__getitem__, users))
-        rows = array("q")
-        rows.frombytes((users_np + population.first_row).tobytes())
-
         step = self._batch_events
-        if n <= step:
-            batches = (
-                [LoginBatch(keys, passwords, ips, methods, rows)] if n else []
+        batches = [
+            LoginBatch(
+                rows[start : start + step],
+                own[start : start + step],
+                ips[start : start + step],
+                methods[start : start + step],
+                claim,
             )
-        else:
-            batches = [
-                LoginBatch(
-                    keys[start : start + step],
-                    passwords[start : start + step],
-                    ips[start : start + step],
-                    bytearray(methods[start : start + step]),
-                    rows[start : start + step],
-                )
-                for start in range(0, n, step)
-            ]
+            for start in range(0, n, step)
+        ]
 
         site_targets = [
             self._probe_target(corpus, rank) for rank in targets
@@ -313,21 +317,37 @@ class StuffingEngine:
         )
 
     def _probe_target(self, corpus: BreachCorpus, rank: int) -> SiteTargetReport:
-        """Join the corpus against one target site's membership."""
+        """Join the corpus against one target site's membership.
+
+        A candidate is a hit when the target stores the password the
+        haul holds, counted from the lanes: EXACT reusers always hit,
+        DERIVED ones when their suffixes at the two sites agree,
+        UNIQUE ones when their unique lanes do — the string equality
+        of the two sites' :meth:`~repro.identity.reuse.
+        CrossSiteReuseModel.site_password`, without the strings.
+        """
         if rank == corpus.site_rank:
             return SiteTargetReport(
                 target_rank=rank, candidates=len(corpus), hits=len(corpus)
             )
+        model = self._model
         # Corpus users all lie below the universe, so evaluating the
         # target's membership lane at the corpus rows is the join.
         users_np = np.frombuffer(corpus.users, dtype=np.int64)
-        idx = np.flatnonzero(self._model.member_mask(users_np, rank))
-        if not idx.size:
-            return SiteTargetReport(target_rank=rank, candidates=0, hits=0)
-        # The haul's password for each candidate, gathered by position.
-        held = list(map(corpus.passwords.__getitem__, idx.tolist()))
-        stored = self._model.site_passwords(users_np[idx], rank)
-        hits = sum(map(eq, held, stored))
+        idx = np.flatnonzero(model.member_mask(users_np, rank))
+        users_np = users_np[idx]
+        codes = np.frombuffer(corpus.codes, dtype=np.uint8)[idx]
+        hits = int(np.count_nonzero(codes == ReuseClass.EXACT))
+        derived = users_np[codes == ReuseClass.DERIVED]
+        hits += int(np.count_nonzero(
+            model.derive_suffixes(derived, corpus.site_rank)
+            == model.derive_suffixes(derived, rank)
+        ))
+        unique = users_np[codes == ReuseClass.UNIQUE]
+        hits += int(np.count_nonzero(
+            model.unique_lanes(unique, corpus.site_rank)
+            == model.unique_lanes(unique, rank)
+        ))
         return SiteTargetReport(
             target_rank=rank, candidates=int(idx.size), hits=hits
         )

@@ -475,9 +475,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.workers == 1 and executor != "serial":
         executor = "serial"
 
-    if args.world_store is not None:
-        _open_or_build_store(args.world_store, args.seed, args.population)
-
     config = ServiceConfig(
         seed=args.seed,
         population_size=args.population,
@@ -500,10 +497,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         stuffing_crack_rate=args.stuffing_crack_rate,
         stuffing_targets=args.stuffing_targets,
     )
-    if config.stuffing_interval > 0 and config.traffic_users <= 0:
-        print("--stuffing-interval-days requires --traffic-users",
-              file=sys.stderr)
-        return 1
+    if args.world_store is not None:
+        _open_or_build_store(args.world_store, args.seed, args.population)
 
     checkpoint_path = args.checkpoint or args.resume
     resume = None

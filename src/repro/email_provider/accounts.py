@@ -1,13 +1,22 @@
 """Provider-side account storage, records and naming policy.
 
 Accounts live in an :class:`AccountTable` — a struct-of-arrays layout
-(the PR-7 ``store/rows.py`` idiom applied to live state instead of
-pages): one Python list/array per column rather than one dataclass
+(the ``store/rows.py`` idiom applied to live state instead of pages):
+one Python list/array per column rather than one dataclass
 per account.  At the honey-account scale the difference is invisible;
 at the heavy-traffic scale (10^6 benign accounts behind the batch
 login engine, :mod:`repro.email_provider.batch`) it is the difference
-between ~100 MB of flat columns and gigabytes of per-account objects,
-and it lets the hot login paths touch exactly the columns they need.
+between a few dozen bytes per account and gigabytes of per-account
+objects, and it lets the hot login paths touch exactly the columns
+they need.
+
+The organic (benign) population is one **row block**: a first row and
+a count.  Its members are pure functions of their index ``i = row -
+first`` — local :func:`benign_local`, password :func:`benign_password`
+— so the block holds no strings at all: names in the ``bg`` namespace
+resolve by arithmetic, and only the numeric columns (state, counters,
+timestamps) are stored per row.  A sparse override map remembers the
+few benign passwords that something changed.
 
 :class:`ProviderAccount` survives as the row *view*: a two-word proxy
 whose properties read and write the columns, preserving the original
@@ -54,6 +63,41 @@ STATE_FROM_CODE: tuple[AccountState, ...] = (
 #: ``state_changed_at`` column sentinel for "never changed" (None).
 NEVER_CHANGED = -1
 
+#: Knuth's multiplicative hash constant; spreads consecutive indices.
+BENIGN_MIX = 2654435761
+#: The ``bg`` namespace: 8 digits name at most this many benign users.
+BENIGN_CAPACITY = 10**8
+
+
+def benign_local(i: int) -> str:
+    """Local part of benign user ``i`` (lowercase, policy-clean).
+
+    The ``bg`` stem plus exactly 8 ASCII digits: Tripwire's generated
+    identities never use it, so the namespace is the block's alone.
+    """
+    return "bg%08d" % i
+
+
+def benign_password(i: int) -> str:
+    """Password of benign user ``i`` (derived, never brute-forceable
+    by the simulated attackers, who only target honey identities)."""
+    return "bg-pw-%08x" % ((i * BENIGN_MIX) & 0xFFFFFFFF)
+
+
+def _benign_index(key: str) -> int | None:
+    """User index named by a lowercased key in the ``bg`` namespace.
+
+    ``bg`` plus exactly 8 ASCII digits; anything else (7 or 9 digits,
+    a non-ASCII digit ``int()`` would accept) is None.  Whether the
+    index lies inside the block is the caller's check.
+    """
+    if len(key) != 10 or not key.startswith("bg"):
+        return None
+    digits = key[2:]
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    return int(digits)
+
 
 class AccountTable:
     """Struct-of-arrays storage for every mailbox at the provider.
@@ -62,7 +106,13 @@ class AccountTable:
     the provider's whole lifetime.  The ``monitored`` column marks the
     disclosure scope of Section 4.2 — the accounts Tripwire asked the
     provider to report telemetry for — as opposed to the organic
-    benign population registered through :meth:`extend`.
+    benign population registered through :meth:`register_block`.
+
+    The numeric columns are full length (one entry per row).  The name
+    index and the object columns (locals, display names, passwords,
+    forwarding) hold *named* rows only — the provisioned accounts, on
+    either side of the benign block — at slot ``row`` below the block
+    and ``row - benign_count`` above it.
     """
 
     __slots__ = (
@@ -79,10 +129,13 @@ class AccountTable:
         "monitored",
         "password_changes",
         "monitored_count",
+        "benign_first",
+        "benign_count",
+        "overrides",
     )
 
     def __init__(self) -> None:
-        #: Lowercased local part -> row index.
+        #: Lowercased local part -> row index (named rows only).
         self._index: dict[str, int] = {}
         self.locals: list[str] = []
         self.display_names: list[str] = []
@@ -97,13 +150,68 @@ class AccountTable:
         #: Sparse: password rotations are rare; most rows never rotate.
         self.password_changes: dict[int, list[SimInstant]] = {}
         self.monitored_count = 0
+        #: First row of the benign block (None until registered).
+        self.benign_first: int | None = None
+        self.benign_count = 0
+        #: Benign row -> password, for the rows whose derived password
+        #: was changed (support reset, password change).
+        self.overrides: dict[int, str] = {}
 
     def __len__(self) -> int:
-        return len(self.locals)
+        return len(self.states)
+
+    def in_block(self, row: int) -> bool:
+        """Whether ``row`` belongs to the benign block."""
+        first = self.benign_first
+        return first is not None and first <= row < first + self.benign_count
+
+    def _slot(self, row: int) -> int:
+        """Object-column slot of a named row."""
+        first = self.benign_first
+        if first is None or row < first:
+            return row
+        return row - self.benign_count
 
     def row_of(self, local_part: str) -> int | None:
         """Row index for a (case-insensitive) local part, or None."""
-        return self._index.get(local_part.lower())
+        key = local_part.lower()
+        if self.benign_count:
+            i = _benign_index(key)
+            if i is not None and i < self.benign_count:
+                return self.benign_first + i
+        return self._index.get(key)
+
+    def local_of(self, row: int) -> str:
+        if self.in_block(row):
+            return benign_local(row - self.benign_first)
+        return self.locals[self._slot(row)]
+
+    def password_of(self, row: int) -> str:
+        if self.in_block(row):
+            password = self.overrides.get(row)
+            if password is None:
+                password = benign_password(row - self.benign_first)
+            return password
+        return self.passwords[self._slot(row)]
+
+    def set_password(self, row: int, password: str) -> None:
+        if self.in_block(row):
+            self.overrides[row] = password
+        else:
+            self.passwords[self._slot(row)] = password
+
+    def display_name_of(self, row: int) -> str:
+        return "" if self.in_block(row) else self.display_names[self._slot(row)]
+
+    def forwarding_of(self, row: int) -> str | None:
+        return None if self.in_block(row) else self.forwarding[self._slot(row)]
+
+    def set_forwarding(self, row: int, address: str | None) -> None:
+        if self.in_block(row):
+            if address is not None:
+                raise ValueError("benign accounts do not forward")
+            return
+        self.forwarding[self._slot(row)] = address
 
     def add(
         self,
@@ -114,8 +222,8 @@ class AccountTable:
         forwarding_address: str | None = None,
         monitored: bool = True,
     ) -> int:
-        """Append one account row; returns its row index."""
-        row = len(self.locals)
+        """Append one named account row; returns its row index."""
+        row = len(self.states)
         self._index[local_part.lower()] = row
         self.locals.append(local_part)
         self.display_names.append(display_name)
@@ -131,36 +239,33 @@ class AccountTable:
             self.monitored_count += 1
         return row
 
-    def extend(
-        self,
-        locals_lower: list[str],
-        passwords: list[str],
-        created_at: SimInstant,
-    ) -> int:
-        """Bulk-append unmonitored (benign-population) rows.
+    def register_block(self, count: int, created_at: SimInstant) -> int:
+        """Append the benign block of ``count`` unmonitored rows.
 
-        The fast path for registering millions of organic accounts:
-        callers guarantee the locals are lowercase, policy-clean and
-        collision-free (the benign population mints its own namespace),
-        so the per-row checks of :meth:`add` are hoisted out entirely.
-        Returns the row index of the first appended account.
+        Stores no strings: the block's locals and passwords are
+        derived from the row index.  The numeric columns grow by
+        ``count`` entries each, allocated whole.  A table holds one
+        block; registering a second one, or a block whose namespace a
+        named row already holds, raises.  Returns the first row.
         """
-        first = len(self.locals)
-        n = len(locals_lower)
-        if n != len(passwords):
-            raise ValueError("locals and passwords must be the same length")
-        self._index.update(zip(locals_lower, range(first, first + n)))
-        self.locals.extend(locals_lower)
-        self.display_names.extend([""] * n)
-        self.passwords.extend(passwords)
-        zeros = bytes(8 * n)
-        self.created_at.extend(array("q", [created_at]) * n)
-        self.states.extend(bytes(n))
-        self.state_changed_at.extend(array("q", [NEVER_CHANGED]) * n)
-        self.forwarding.extend([None] * n)
+        if not 0 <= count <= BENIGN_CAPACITY:
+            raise ValueError(f"block size must lie in [0, {BENIGN_CAPACITY}]")
+        if self.benign_first is not None:
+            raise ValueError("the benign block is already registered")
+        for key in self._index:
+            i = _benign_index(key)
+            if i is not None and i < count:
+                raise ValueError(f"named account {key!r} is in the benign namespace")
+        first = len(self.states)
+        self.created_at.extend(array("q", [created_at]) * count)
+        self.states.extend(bytes(count))
+        self.state_changed_at.extend(array("q", [NEVER_CHANGED]) * count)
+        zeros = bytes(8 * count)
         self.received_counts.frombytes(zeros)
         self.spam_counts.frombytes(zeros)
-        self.monitored.extend(bytes(n))
+        self.monitored.extend(bytes(count))
+        self.benign_first = first
+        self.benign_count = count
         return first
 
     def view(self, row: int) -> "ProviderAccount":
@@ -179,19 +284,19 @@ class ProviderAccount:
 
     @property
     def local_part(self) -> str:
-        return self._table.locals[self._row]
+        return self._table.local_of(self._row)
 
     @property
     def display_name(self) -> str:
-        return self._table.display_names[self._row]
+        return self._table.display_name_of(self._row)
 
     @property
     def password(self) -> str:
-        return self._table.passwords[self._row]
+        return self._table.password_of(self._row)
 
     @password.setter
     def password(self, value: str) -> None:
-        self._table.passwords[self._row] = value
+        self._table.set_password(self._row, value)
 
     @property
     def created_at(self) -> SimInstant:
@@ -218,11 +323,11 @@ class ProviderAccount:
 
     @property
     def forwarding_address(self) -> str | None:
-        return self._table.forwarding[self._row]
+        return self._table.forwarding_of(self._row)
 
     @forwarding_address.setter
     def forwarding_address(self, value: str | None) -> None:
-        self._table.forwarding[self._row] = value
+        self._table.set_forwarding(self._row, value)
 
     @property
     def received_message_count(self) -> int:

@@ -1,11 +1,18 @@
 """Vectorized batch authentication over the columnar account table.
 
 The heavy-traffic login front-end: one :class:`LoginBatch` carries a
-whole window of login attempts as parallel columns (lowercased keys,
-passwords, integer IPs, method codes) and
+whole window of login attempts as parallel columns and
 :meth:`BatchLoginEngine.attempt_logins` authenticates them against the
 provider's :class:`~repro.email_provider.accounts.AccountTable`
-columns, ending in a single bulk telemetry append.
+columns, ending in a single bulk telemetry append.  Generated traffic
+and stuffing waves name benign accounts by **row** and carry a mask of
+the events that claim the row's own derived password, so no password
+or local-part string exists on their path; the few keyed batches
+(probes, control logins, attacker bridges) carry local parts and
+password strings.  Either way the engine first computes one
+password-match column — from the mask plus the table's override map,
+or from string comparison — and from there on both shapes take one
+path.
 
 The engine is *decision-for-decision identical* to
 :meth:`EmailProvider.attempt_login <repro.email_provider.provider.
@@ -46,9 +53,12 @@ allocating an ``np.unique`` workspace per window.
 
 Windows below :data:`VECTOR_MIN_EVENTS`, or with a key no account
 resolves, take :meth:`BatchLoginEngine._attempt_serial` instead: every
-event through `_attempt_row` in batch order.  That loop is the
-engine's one scalar oracle; the equivalence tests force it for whole
-runs and compare bytes.
+event through `_attempt_row` in batch order, its claimed password
+rebuilt as a string (:meth:`LoginBatch.password`) and compared with
+the account's.  That loop is the engine's one scalar oracle — it never
+reads the ``own`` mask, so it checks the mask against an independent
+implementation; the equivalence tests force it for whole runs and
+compare bytes.
 
 Batch windows carry **one** timestamp (the window close) on purpose:
 telemetry requires time-ordered appends, and a window's events must
@@ -58,8 +68,6 @@ that fired inside the window.
 
 from __future__ import annotations
 
-from array import array
-from itertools import compress
 from operator import eq
 
 import numpy as np
@@ -95,66 +103,80 @@ def _in_sorted(sorted_keys, values):
 class LoginBatch:
     """One window of login attempts, as parallel columns.
 
-    ``keys`` are *lowercased* local parts (the producer lowercases
-    once; the scalar path lowercases per attempt), ``ips`` packs
-    :attr:`IPv4Address.value` integers and ``methods`` packs
-    :data:`~repro.email_provider.telemetry.METHOD_CODES` bytes.
+    ``ips`` (uint64, :attr:`IPv4Address.value` integers) and
+    ``methods`` (uint8, :data:`~repro.email_provider.telemetry.
+    METHOD_CODES`) are numpy columns in both shapes:
 
-    ``rows`` is the optional producer-resolved account-row column
-    (``array('q')``): a producer that already knows its accounts'
-    table rows (the traffic generator mints the benign population and
-    gets the rows back at registration) supplies them so the engine
-    skips the per-key index probe — at 10^6 accounts that probe is a
-    cold hash lookup per event, and it is pure redundancy when the
-    producer had the row all along.  When given, ``rows`` must resolve
-    ``keys`` exactly; the engine trusts it.
+    - a **row batch** (the constructor: traffic windows, stuffing
+      waves) names benign-block accounts by table row — ``rows``
+      (int64) — and carries ``own`` (bool): event *i* claims the row's
+      own derived password.  ``claim(row, own)`` rebuilds the password
+      string an event claims; only the scalar oracle and rows in the
+      table's override map ever call it;
+    - a **keyed batch** (:meth:`keyed`, :meth:`single`,
+      :meth:`from_attempts`) names accounts by *lowercased* local part
+      (``keys``) with ``passwords`` as strings; the engine resolves the
+      rows and compares the strings.
     """
 
-    __slots__ = ("keys", "passwords", "ips", "methods", "rows")
+    __slots__ = ("rows", "own", "claim", "keys", "passwords", "ips", "methods")
 
-    def __init__(
-        self,
-        keys: list[str],
-        passwords: list[str],
-        ips: array,
-        methods: bytearray,
-        rows: array | None = None,
-    ):
+    def __init__(self, rows, own, ips, methods, claim):
+        n = len(rows)
+        if len(own) != n or len(ips) != n or len(methods) != n:
+            raise ValueError("batch columns must be parallel")
+        self.rows = rows
+        self.own = own
+        self.claim = claim
+        self.keys = None
+        self.passwords = None
+        self.ips = ips
+        self.methods = methods
+
+    @classmethod
+    def keyed(
+        cls, keys: list[str], passwords: list[str], ips, methods
+    ) -> "LoginBatch":
+        """A batch naming its accounts by lowercased local part."""
         n = len(keys)
         if len(passwords) != n or len(ips) != n or len(methods) != n:
             raise ValueError("batch columns must be parallel")
-        if rows is not None and len(rows) != n:
-            raise ValueError("batch columns must be parallel")
-        self.keys = keys
-        self.passwords = passwords
-        self.ips = ips
-        self.methods = methods
-        self.rows = rows
+        batch = cls.__new__(cls)
+        batch.rows = batch.own = batch.claim = None
+        batch.keys = keys
+        batch.passwords = passwords
+        batch.ips = np.asarray(ips, dtype=np.uint64)
+        batch.methods = np.asarray(methods, dtype=np.uint8)
+        return batch
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.ips)
+
+    def password(self, i: int) -> str:
+        """The password event ``i`` claims, as a string."""
+        if self.passwords is not None:
+            return self.passwords[i]
+        return self.claim(int(self.rows[i]), bool(self.own[i]))
 
     @classmethod
     def from_attempts(
         cls, attempts: list[tuple[str, str, IPv4Address, LoginMethod]]
     ) -> "LoginBatch":
         """Build a batch from (local_part, password, ip, method) tuples."""
-        keys = [a[0].lower() for a in attempts]
-        passwords = [a[1] for a in attempts]
-        ips = array("Q", [a[2].value for a in attempts])
-        methods = bytearray(METHOD_CODES[a[3]] for a in attempts)
-        return cls(keys, passwords, ips, methods)
+        return cls.keyed(
+            [a[0].lower() for a in attempts],
+            [a[1] for a in attempts],
+            [a[2].value for a in attempts],
+            [METHOD_CODES[a[3]] for a in attempts],
+        )
 
     @classmethod
     def single(
         cls, local_part: str, password: str, ip: IPv4Address, method: LoginMethod
     ) -> "LoginBatch":
         """A one-event batch (the service streams' scalar bridge)."""
-        return cls(
-            [local_part.lower()],
-            [password],
-            array("Q", [ip.value]),
-            bytearray((METHOD_CODES[method],)),
+        return cls.keyed(
+            [local_part.lower()], [password], [ip.value], [METHOD_CODES[method]]
         )
 
 
@@ -275,34 +297,68 @@ class BatchLoginEngine:
         if now is None:
             now = provider._clock.now()
         table = provider._table
-        rows = batch.rows
-        if rows is None:
-            rows = list(map(table._index.get, batch.keys))
-            unresolved = None in rows
+        n = len(batch)
+        if batch.keys is None:
+            rows_np = batch.rows
+            _check_block(table, rows_np)
+            rows = None
         else:
-            unresolved = False  # producer rows are always real rows
+            rows = list(map(table.row_of, batch.keys))
+            rows_np = np.fromiter(
+                (-1 if row is None else row for row in rows), np.int64, count=n
+            )
 
         self.windows += 1
-        if len(rows) < VECTOR_MIN_EVENTS or unresolved:
-            self.fallback_events += len(rows)
-            results = self._attempt_serial(rows, batch, now)
+        if n < VECTOR_MIN_EVENTS or (rows is not None and None in rows):
+            self.fallback_events += n
+            results = self._attempt_serial(
+                rows_np.tolist() if rows is None else rows, batch, now
+            )
         else:
-            results = self._attempt_vectorized(rows, batch, now)
+            pw_ok = self._match_column(rows, rows_np, batch)
+            results = self._attempt_vectorized(rows_np, pw_ok, batch, now)
 
-        self._record_window(rows, batch, results, now)
+        self._record_window(rows_np, batch, results, now)
         return BatchReceipt(results)
 
     def _attempt_serial(self, rows, batch: LoginBatch, now) -> bytearray:
-        """The scalar oracle: every event through the shared decision core."""
-        attempt_row = self._provider._attempt_row
+        """The scalar oracle: every event through the shared decision
+        core, its claimed password compared as a string."""
+        provider = self._provider
+        attempt_row = provider._attempt_row
+        password_of = provider._table.password_of
+        claimed = batch.password
         results = bytearray()
         results_append = results.append
-        for row, password, ip_int in zip(rows, batch.passwords, batch.ips):
+        for i, (row, ip_int) in enumerate(zip(rows, batch.ips.tolist())):
             if row is None:
                 results_append(2)  # NO_SUCH_ACCOUNT
             else:
-                results_append(attempt_row(row, password, ip_int, now))
+                ok = claimed(i) == password_of(row)
+                results_append(attempt_row(row, ok, ip_int, now))
         return results
+
+    def _match_column(self, rows, rows_np, batch: LoginBatch):
+        """Per-event password match, as one bool column.
+
+        Row batches read the ``own`` mask; an event on a row whose
+        password was overridden compares its claimed string with the
+        override instead.  Keyed batches compare strings throughout.
+        """
+        table = self._provider._table
+        if rows is not None:
+            return np.fromiter(
+                map(eq, batch.passwords, map(table.password_of, rows)),
+                np.bool_,
+                count=len(rows),
+            )
+        pw_ok = np.array(batch.own, dtype=np.bool_)
+        overrides = table.overrides
+        if overrides:
+            keys = np.sort(np.fromiter(overrides, np.int64, len(overrides)))
+            for i in np.flatnonzero(_in_sorted(keys, rows_np)).tolist():
+                pw_ok[i] = batch.password(i) == overrides[int(rows_np[i])]
+        return pw_ok
 
     def _throttle_sorted_keys(self):
         """The throttle key set as a sorted array, cached per revision."""
@@ -358,7 +414,7 @@ class BatchLoginEngine:
         # more than once — harmless to the searchsorted probe).
         return _in_sorted(sorted_rows[1:][adjacent], rows_np)
 
-    def _attempt_vectorized(self, rows, batch: LoginBatch, now) -> bytearray:
+    def _attempt_vectorized(self, rows_np, pw_ok, batch: LoginBatch, now) -> bytearray:
         """Columnar fast path: bulk-commit clean events, loop the rest.
 
         Correctness hinges on two facts the masks establish up front:
@@ -374,10 +430,8 @@ class BatchLoginEngine:
         """
         provider = self._provider
         table = provider._table
-        n = len(rows)
-
-        rows_np = np.asarray(rows, dtype=np.int64)
-        ips_np = np.frombuffer(batch.ips, dtype=np.uint64)
+        n = len(rows_np)
+        ips_np = batch.ips
         # Transient views over the provider's row-indexed columns.
         # They must all be dropped before anything can resize the
         # underlying buffers (provisioning between batches).
@@ -387,11 +441,6 @@ class BatchLoginEngine:
 
         # Classification, all against batch-start state: gathers over
         # the columns plus membership probes of the sparse dicts.
-        pw_ok = np.fromiter(
-            map(eq, batch.passwords, map(table.passwords.__getitem__, rows)),
-            np.bool_,
-            count=n,
-        )
         # Conditions that disqualify *any* event from the clean paths.
         blocked = states_np[rows_np] != 0
         rev_at_probe = provider._throttle_rev
@@ -427,10 +476,13 @@ class BatchLoginEngine:
         self.scalar_replayed += int(rare_idx.size)
         if rare_idx.size:
             attempt_row = provider._attempt_row
-            passwords = batch.passwords
-            ips_col = batch.ips
-            for i in rare_idx.tolist():
-                results_np[i] = attempt_row(rows[i], passwords[i], ips_col[i], now)
+            for i, row, ok, ip_int in zip(
+                rare_idx.tolist(),
+                rows_np[rare_idx].tolist(),
+                pw_ok[rare_idx].tolist(),
+                ips_np[rare_idx].tolist(),
+            ):
+                results_np[i] = attempt_row(row, ok, ip_int, now)
 
         if clean_fail is not None and clean_fail.any():
             self._commit_clean_failures(
@@ -505,43 +557,30 @@ class BatchLoginEngine:
             )
             self._throttle_rev = prev_rev + 1
 
-    def _record_window(self, rows, batch: LoginBatch, results: bytearray, now) -> None:
+    def _record_window(self, rows_np, batch: LoginBatch, results: bytearray, now) -> None:
         """One bulk telemetry append for the window's successes.
 
-        Success columns are rebuilt at C speed from the results mask;
-        column order is batch order, which is exactly the order the
-        scalar path would have recorded the same events in.
+        Success columns are gathered from the results mask; column
+        order is batch order, which is exactly the order the scalar
+        path would have recorded the same events in.
         """
-        provider = self._provider
-        table = provider._table
-        successes = results.count(0)
-        if successes:
-            if successes >= VECTOR_MIN_EVENTS and None not in rows:
-                results_np = np.frombuffer(results, dtype=np.uint8)
-                ok_idx = np.nonzero(results_np == 0)[0]
-                ok_rows = np.asarray(rows, dtype=np.int64)[ok_idx]
-                ok_locals = list(map(table.locals.__getitem__, ok_rows.tolist()))
-                monitored_np = np.frombuffer(table.monitored, dtype=np.uint8)
-                ok_monitored = bytearray(monitored_np[ok_rows].tobytes())
-                ok_ips = array("Q")
-                ok_ips.frombytes(
-                    np.frombuffer(batch.ips, dtype=np.uint64)[ok_idx].tobytes()
-                )
-                methods_np = np.frombuffer(batch.methods, dtype=np.uint8)
-                ok_methods = bytearray(methods_np[ok_idx].tobytes())
-            else:
-                ok_mask = [not code for code in results]
-                ok_rows_list = list(compress(rows, ok_mask))
-                ok_locals = list(map(table.locals.__getitem__, ok_rows_list))
-                ok_monitored = bytearray(
-                    map(table.monitored.__getitem__, ok_rows_list)
-                )
-                ok_ips = array("Q", compress(batch.ips, ok_mask))
-                ok_methods = bytearray(compress(batch.methods, ok_mask))
-        else:
-            ok_locals, ok_monitored = [], bytearray()
-            ok_ips, ok_methods = array("Q"), bytearray()
-        provider.telemetry.record_batch(ok_locals, now, ok_ips, ok_methods, ok_monitored)
+        ok_idx = np.flatnonzero(np.frombuffer(results, dtype=np.uint8) == 0)
+        self._provider.telemetry.record_rows(
+            rows_np[ok_idx], now, batch.ips[ok_idx], batch.methods[ok_idx]
+        )
+
+
+def _check_block(table, rows_np) -> None:
+    """Row batches may only name rows of the table's benign block."""
+    if not rows_np.size:
+        return
+    first = table.benign_first
+    if (
+        first is None
+        or rows_np.min() < first
+        or rows_np.max() >= first + table.benign_count
+    ):
+        raise ValueError("row batches must address the benign block")
 
 
 def _pin_literal_codes() -> None:

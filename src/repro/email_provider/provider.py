@@ -53,7 +53,6 @@ from __future__ import annotations
 import enum
 from array import array
 from collections import deque
-from itertools import repeat
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from repro.email_provider.accounts import (
     STATE_CODES,
 )
 from repro.email_provider.telemetry import (
+    METHOD_CODES,
     LoginEvent,
     LoginMethod,
     LoginTelemetry,
@@ -150,7 +150,9 @@ class EmailProvider:
         self._policy = naming_policy or NamingPolicy()
         self._table = AccountTable()
         self._preexisting = {name.lower() for name in preexisting_locals}
-        self.telemetry = LoginTelemetry(retention_days=retention_days, obs=obs)
+        self.telemetry = LoginTelemetry(
+            retention_days=retention_days, obs=obs, accounts=self._table
+        )
         #: Sparse throttle state: row -> (failures, window_start,
         #: locked_until), replaced whole on every update.  Only rows
         #: with failure history appear here.
@@ -203,8 +205,10 @@ class EmailProvider:
 
     def account_exists(self, local_part: str) -> bool:
         """Collision probe: is the name taken (by us or organically)?"""
-        key = local_part.lower()
-        return key in self._table._index or key in self._preexisting
+        return (
+            self._table.row_of(local_part) is not None
+            or local_part.lower() in self._preexisting
+        )
 
     def provision(
         self,
@@ -230,28 +234,28 @@ class EmailProvider:
         self._grow_login_state(1)
         return ProvisioningResult(local_part, created=True)
 
-    def register_benign_accounts(
-        self, locals_lower: list[str], passwords: list[str]
-    ) -> int:
-        """Bulk-register the organic (benign) account population.
+    def register_benign_accounts(self, count: int) -> int:
+        """Register the organic (benign) account population as one block.
 
         These mailboxes are the haystack: full members of the provider
         — they collide with provisioning, log in, receive mail, get
         throttled and reviewed like anyone else — but they are outside
         the telemetry disclosure scope, so dumps never mention them.
-        Locals must be lowercase and collision-free against the current
-        table; the traffic layer mints its own ``bg...`` namespace.
-        Returns the row index of the first registered account.
+        User ``i`` is row ``first + i``, named ``bg%08d`` and keyed by
+        its derived password (:mod:`repro.email_provider.accounts`); the
+        block stores no strings.  Registering twice, or over a
+        provisioned name in the block's namespace, raises.  Returns the
+        row index of the first registered account.
         """
-        first_row = self._table.extend(locals_lower, passwords, self._clock.now())
-        self._grow_login_state(len(locals_lower))
+        first_row = self._table.register_block(count, self._clock.now())
+        self._grow_login_state(count)
         return first_row
 
     def _grow_login_state(self, count: int) -> None:
         """Extend the row-indexed login-state columns for new rows."""
-        self._ip_head.extend(repeat(-1, count))
+        self._ip_head.extend(array("q", [-1]) * count)
         self._ip_distinct.frombytes(bytes(4 * count))
-        self._ip_first.extend(repeat(NO_IP, count))
+        self._ip_first.extend(array("Q", [NO_IP]) * count)
 
     def account(self, local_part: str) -> ProviderAccount | None:
         """Fetch a live account view (None if absent)."""
@@ -325,32 +329,34 @@ class EmailProvider:
         if domain.lower() != self.domain:
             return False
         table = self._table
-        row = table._index.get(local.lower())
+        row = table.row_of(local)
         if row is None or table.states[row] == _DEACTIVATED:
             return False
         table.received_counts[row] += 1
-        forward_to = table.forwarding[row]
+        forward_to = table.forwarding_of(row)
         if forward_to and self._forwarding_hop is not None:
             self._forwarding_hop(message.with_recipient(forward_to))
         return True
 
-    def deliver_background(self, rows: list[int]) -> int:
+    def deliver_background(self, rows) -> int:
         """Organic mail volume: bulk-deliver to benign rows by index.
 
-        The traffic generator's mail half — counts land on the same
+        The traffic generator's mail half — ``rows`` is a window's
+        int64 mail-row column, and counts land on the same
         ``received_message_count`` column :meth:`deliver` uses, without
         materializing an :class:`EmailMessage` per benign message.
-        Deactivated rows bounce.  Returns how many were delivered.
+        Deactivated rows bounce; a row drawn twice receives twice.
+        Returns how many were delivered.
         """
         table = self._table
-        counts = table.received_counts
-        states = table.states
-        delivered = 0
-        for row in rows:
-            if states[row] != _DEACTIVATED:
-                counts[row] += 1
-                delivered += 1
-        return delivered
+        rows = np.asarray(rows, dtype=np.int64)
+        states = np.frombuffer(table.states, dtype=np.uint8)
+        live = rows[states[rows] != _DEACTIVATED]
+        # A uint64 increment: a Python int takes add.at's slow casting path.
+        np.add.at(
+            np.frombuffer(table.received_counts, dtype=np.uint64), live, np.uint64(1)
+        )
+        return int(live.size)
 
     # -- login ---------------------------------------------------------------
 
@@ -375,16 +381,13 @@ class EmailProvider:
         equivalence tests hold the paths in lockstep.
         """
         now = self._clock.now()
-        row = self._table.row_of(local_part)
+        table = self._table
+        row = table.row_of(local_part)
         if row is None:
             return LoginResult.NO_SUCH_ACCOUNT
-        code = self._attempt_row(row, password, ip.value, now)
+        code = self._attempt_row(row, password == table.password_of(row), ip.value, now)
         if code == 0:
-            account = self._table.view(row)
-            self.telemetry.record(
-                LoginEvent(account.local_part, now, ip, method),
-                monitored=account.monitored,
-            )
+            self.telemetry.record_row(row, now, ip.value, METHOD_CODES[method])
         return RESULT_ORDER[code]
 
     def attempt_logins(self, batch, now: SimInstant | None = None):
@@ -400,14 +403,16 @@ class EmailProvider:
             self._batch_engine = BatchLoginEngine(self)
         return self._batch_engine.attempt_logins(batch, now=now)
 
-    def _attempt_row(self, row: int, password: str, ip_int: int, now: int) -> int:
+    def _attempt_row(self, row: int, pw_ok: bool, ip_int: int, now: int) -> int:
         """Authenticate one resolved row; returns a ``RESULT_ORDER`` code.
 
-        The decision core shared verbatim by the scalar path, the
-        batch engine's rare-event path and its serial scalar oracle —
-        one implementation, so the engines cannot drift.
-        Telemetry is the caller's job (the batch engine records a
-        whole window at once).
+        ``pw_ok`` says whether the attempt's password matches the
+        row's: the scalar paths compare strings, the batch engine
+        reads its match column.  The decision core shared verbatim by
+        the scalar path, the batch engine's rare-event path and its
+        serial scalar oracle — one implementation, so the engines
+        cannot drift.  Telemetry is the caller's job (the batch engine
+        records a whole window at once).
         """
         throttle = self._throttle.get(row)
         if throttle is not None and now < throttle[2]:
@@ -415,7 +420,7 @@ class EmailProvider:
         state = self._table.states[row]
         if state:
             return STATE_RESULT_CODES[state]
-        if password != self._table.passwords[row]:
+        if not pw_ok:
             self._note_failure(row, now)
             return 1  # BAD_PASSWORD
         if throttle is not None:

@@ -6,22 +6,24 @@ after a retention window; the paper lost March 20 – June 1, 2015 to
 exactly this (Figure 2's shaded gap), which :class:`LoginTelemetry`
 reproduces when dumps are collected too far apart.
 
-Storage is columnar (struct-of-arrays): parallel ``local``/``time``/
+Storage is columnar (struct-of-arrays): parallel account-row/``time``/
 ``ip``/``method`` columns instead of one :class:`LoginEvent` object
 per login.  Under the heavy-traffic login front-end the log holds the
 *whole* provider's successes — millions of benign logins per sim-day
 around a handful of honey-account events — and three operations must
 stay cheap at that scale:
 
-- **append** — :meth:`record_batch` bulk-extends the columns with one
-  bounds check per batch (the per-event :meth:`record` remains for the
-  scalar path);
+- **append** — :meth:`record_rows` bulk-extends the columns with one
+  bounds check per batch (the per-event :meth:`record_row` remains for
+  the scalar path);
 - **dump extraction** — timestamps are recorded in order, so
   :meth:`collect_dump` binary-searches the window instead of scanning
   the entire log, then materializes :class:`LoginEvent` objects only
   for the rows inside the *disclosure scope* (Section 4.2: the
   provider reports on the accounts Tripwire asked about, marked by the
-  ``monitored`` column — the needle sifted from the haystack);
+  account table's ``monitored`` column — the needle sifted from the
+  haystack).  Local parts are formatted only here and in the
+  ground-truth export, never on the append path;
 - **retention pruning** — :meth:`prune_exported` drops a front slice
   of the columns via the same binary search.
 """
@@ -33,6 +35,9 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.email_provider.accounts import AccountTable
 from repro.net.ipaddr import IPv4Address
 from repro.obs import NO_OP
 from repro.util.timeutil import DAY, SimInstant
@@ -72,7 +77,10 @@ class LoginEvent:
 class LoginTelemetry:
     """Append-only columnar login log with bounded retention.
 
-    Batch runs keep every event for ground-truth comparison.  A
+    Records are account *rows* of ``accounts`` (the provider's
+    :class:`~repro.email_provider.accounts.AccountTable`); a log built
+    without one keeps a private table that :meth:`record` fills by
+    name.  Batch runs keep every event for ground-truth comparison.  A
     continuously-operating daemon cannot — two sim-years of logins is
     unbounded ballast, and with benign traffic the log grows by
     millions of rows per sim-day — so :meth:`prune_exported` drops
@@ -81,17 +89,22 @@ class LoginTelemetry:
     have expired.  Pruning never changes what any future dump returns.
     """
 
-    def __init__(self, retention_days: int = 60, obs=NO_OP):
+    def __init__(
+        self,
+        retention_days: int = 60,
+        obs=NO_OP,
+        accounts: AccountTable | None = None,
+    ):
         if retention_days < 1:
             raise ValueError("retention must be at least one day")
         self.retention_days = retention_days
         self._obs = obs
         self._log = obs.get_logger("provider.telemetry")
-        self._locals: list[str] = []
+        self._accounts = accounts if accounts is not None else AccountTable()
+        self._rows = array("q")
         self._times = array("q")
         self._ips = array("Q")
         self._methods = bytearray()
-        self._monitored = bytearray()
         self._last_collected: SimInstant | None = None
         self._lost_windows: list[tuple[SimInstant, SimInstant]] = []
         self.pruned_count = 0
@@ -99,45 +112,48 @@ class LoginTelemetry:
 
     # -- append side -------------------------------------------------------
 
-    def record(self, event: LoginEvent, monitored: bool = True) -> None:
-        """Record one successful login (events arrive in time order)."""
-        if self._last_recorded is not None and event.time < self._last_recorded:
+    def record(self, event: LoginEvent) -> None:
+        """Record one successful login by local part.
+
+        The convenience for a log kept on its own: a local part its
+        table does not know becomes a new monitored row.
+        """
+        accounts = self._accounts
+        row = accounts.row_of(event.local_part)
+        if row is None:
+            row = accounts.add(event.local_part, "", "", event.time)
+        self.record_row(row, event.time, event.ip.value, METHOD_CODES[event.method])
+
+    def record_row(self, row: int, time: SimInstant, ip: int, method_code: int) -> None:
+        """Record one successful login of account ``row`` (in time order)."""
+        if self._last_recorded is not None and time < self._last_recorded:
             raise ValueError("login events must be recorded in time order")
-        self._locals.append(event.local_part)
-        self._times.append(event.time)
-        self._ips.append(event.ip.value)
-        self._methods.append(METHOD_CODES[event.method])
-        self._monitored.append(1 if monitored else 0)
-        self._last_recorded = event.time
+        self._rows.append(row)
+        self._times.append(time)
+        self._ips.append(ip)
+        self._methods.append(method_code)
+        self._last_recorded = time
         self._obs.count("telemetry.logins_recorded")
 
-    def record_batch(
-        self,
-        locals_: list[str],
-        time: SimInstant,
-        ips: array,
-        method_codes: bytearray,
-        monitored: bytearray,
-    ) -> int:
+    def record_rows(self, rows, time: SimInstant, ips, method_codes) -> int:
         """Bulk-record one batch window's successes, all stamped ``time``.
 
         The batch engine's append path: one ordering check and one
         counter bump for the whole batch instead of per event.  Columns
-        must be parallel (same length); ``ips`` holds 32-bit integers
-        and ``method_codes`` positions into :data:`METHOD_ORDER`.
+        must be parallel numpy arrays: int64 rows, uint64 IPs (32-bit
+        values) and uint8 positions into :data:`METHOD_ORDER`.
         """
-        n = len(locals_)
+        n = len(rows)
         if not n:
             return 0
-        if len(ips) != n or len(method_codes) != n or len(monitored) != n:
+        if len(ips) != n or len(method_codes) != n:
             raise ValueError("batch columns must be parallel")
         if self._last_recorded is not None and time < self._last_recorded:
             raise ValueError("login events must be recorded in time order")
-        self._locals.extend(locals_)
+        self._rows.frombytes(rows.astype(np.int64, copy=False).tobytes())
         self._times.extend(array("q", [time]) * n)
-        self._ips.extend(ips)
-        self._methods.extend(method_codes)
-        self._monitored.extend(monitored)
+        self._ips.frombytes(ips.astype(np.uint64, copy=False).tobytes())
+        self._methods.extend(method_codes.astype(np.uint8, copy=False).tobytes())
         self._last_recorded = time
         self._obs.count("telemetry.logins_recorded", n)
         return n
@@ -146,6 +162,12 @@ class LoginTelemetry:
 
     def _retained_since(self, now: SimInstant) -> SimInstant:
         return now - self.retention_days * DAY
+
+    def _event(self, i: int) -> LoginEvent:
+        return LoginEvent(
+            self._accounts.local_of(self._rows[i]), self._times[i],
+            IPv4Address(self._ips[i]), METHOD_ORDER[self._methods[i]],
+        )
 
     def collect_dump(self, now: SimInstant) -> list[LoginEvent]:
         """Export retained in-scope events not included in a previous dump.
@@ -170,20 +192,19 @@ class LoginTelemetry:
                 since = horizon
             start = bisect_right(times, since)
             stop = bisect_right(times, now)
-            locals_, ips, methods = self._locals, self._ips, self._methods
-            flags = self._monitored
-            dump = [
-                LoginEvent(
-                    locals_[i], times[i], IPv4Address(ips[i]),
-                    METHOD_ORDER[methods[i]],
-                )
-                for i in range(start, stop)
-                if flags[i]
-            ]
+            dump = [self._event(i) for i in self._monitored_positions(start, stop)]
             self._last_collected = now
             self._obs.count("telemetry.dumps_collected")
             self._obs.count("telemetry.events_exported", len(dump))
         return dump
+
+    def _monitored_positions(self, start: int, stop: int) -> list[int]:
+        """Log positions in ``[start, stop)`` whose row is monitored."""
+        if start >= stop:
+            return []
+        rows = np.frombuffer(self._rows, dtype=np.int64)[start:stop]
+        monitored = np.frombuffer(self._accounts.monitored, dtype=np.uint8)
+        return (np.flatnonzero(monitored[rows]) + start).tolist()
 
     def lost_windows(self) -> list[tuple[SimInstant, SimInstant]]:
         """Intervals whose events expired before any dump covered them."""
@@ -204,11 +225,10 @@ class LoginTelemetry:
         cutoff = min(self._retained_since(now), self._last_collected)
         dropped = bisect_right(self._times, cutoff)
         if dropped:
-            del self._locals[:dropped]
+            del self._rows[:dropped]
             del self._times[:dropped]
             del self._ips[:dropped]
             del self._methods[:dropped]
-            del self._monitored[:dropped]
             self.pruned_count += dropped
             self._obs.count("telemetry.events_pruned", dropped)
         return dropped
@@ -218,15 +238,14 @@ class LoginTelemetry:
         """Events currently held in memory (all accounts)."""
         return len(self._times)
 
-    def columns(self) -> tuple[list[str], array, array, bytearray, bytearray]:
-        """The raw retained columns (locals, times, ips, methods, scope).
+    def columns(self) -> tuple[array, array, array, bytearray]:
+        """The raw retained columns (rows, times, ips, methods).
 
         Equality checks at heavy-traffic scale compare these directly —
         two telemetry logs are identical iff their columns are — without
         materializing millions of :class:`LoginEvent` objects.
         """
-        return (self._locals, self._times, self._ips, self._methods,
-                self._monitored)
+        return (self._rows, self._times, self._ips, self._methods)
 
     def all_events_ground_truth(self) -> list[LoginEvent]:
         """Every event ever recorded — simulation ground truth only.
@@ -238,10 +257,4 @@ class LoginTelemetry:
         truncated to what is still retained — :attr:`pruned_count`
         says how much history was dropped.
         """
-        return [
-            LoginEvent(
-                self._locals[i], self._times[i], IPv4Address(self._ips[i]),
-                METHOD_ORDER[self._methods[i]],
-            )
-            for i in range(len(self._times))
-        ]
+        return [self._event(i) for i in range(len(self._times))]

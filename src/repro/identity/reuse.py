@@ -27,10 +27,14 @@ depends on:
   at once.
 
 The provider-side mailbox password stays
-:func:`~repro.traffic.population.benign_password` for every class —
-what varies is what the *websites* store, and therefore what a breach
-corpus replays: EXACT reusers are the stuffable fraction, DERIVED
-users leak a near-miss variant, UNIQUE users leak noise.
+:func:`~repro.email_provider.accounts.benign_password` for every class
+— what varies is what the *websites* store, and therefore what a
+breach corpus replays: EXACT reusers are the stuffable fraction,
+DERIVED users leak a near-miss variant, UNIQUE users leak noise.
+Columnar consumers never build those strings: a user's class code
+plus the per-site derive suffix and unique lanes determine every
+equality between two sites' passwords (:meth:`CrossSiteReuseModel.
+site_password` is the scalar oracle that spells them out).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from array import array
 
 import numpy as np
 
-from repro.traffic.population import _MIX as _PASSWORD_MIX, benign_password
+from repro.email_provider.accounts import benign_password
 from repro.util.rngtree import RngTree
 
 _MASK64 = (1 << 64) - 1
@@ -69,24 +73,23 @@ _DERIVE_SALT = _lane_salt("derive")
 _UNIQUE_SALT = _lane_salt("unique")
 _CRACK_SALT = _lane_salt("crack")
 
-#: Site-password column layout: the longest forms (``bg-pw-%08x.%04x``
-#: and ``sw-%016x``) are 19 characters, plus a newline row separator.
-_PASSWORD_WIDTH = 20
-_BG_STEM = np.frombuffer(b"bg-pw-", dtype=np.uint8)
-_SW_STEM = np.frombuffer(b"sw-", dtype=np.uint8)
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+def check_probability(name: str, value: float) -> None:
+    """Reject a rate outside [0, 1] (NaN included)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a probability in [0, 1]")
 
 
-def _hex_digits(values, width: int):
-    """Lowercase zero-padded hex of a uint64 column, as ``(n, width)`` bytes.
-
-    One digit column at a time, so no ``(n, width)`` uint64 temporary.
-    """
-    digits = np.empty((len(values), width), dtype=np.uint8)
-    for k in range(width):
-        shift = np.uint64(4 * (width - 1 - k))
-        digits[:, k] = _HEX_DIGITS[(values >> shift) & np.uint64(0xF)]
-    return digits
+def check_reuse_rates(
+    exact_rate: float, derive_rate: float, site_density: float
+) -> None:
+    """The reuse model's rate constraints, for every caller that takes
+    them from outside (the model itself, the service config)."""
+    check_probability("exact_rate", exact_rate)
+    check_probability("derive_rate", derive_rate)
+    check_probability("site_density", site_density)
+    if exact_rate + derive_rate > 1:
+        raise ValueError("reuse-class rates must form a sub-distribution")
 
 
 def _mix64(x: int) -> int:
@@ -139,10 +142,7 @@ class CrossSiteReuseModel:
         derive_rate: float = 0.3,
         site_density: float = 0.05,
     ):
-        if exact_rate < 0 or derive_rate < 0 or exact_rate + derive_rate > 1:
-            raise ValueError("reuse-class rates must form a sub-distribution")
-        if not 0 <= site_density <= 1:
-            raise ValueError("site_density must be a probability")
+        check_reuse_rates(exact_rate, derive_rate, site_density)
         self.key = key & _MASK64
         self.exact_rate = exact_rate
         self.derive_rate = derive_rate
@@ -267,36 +267,23 @@ class CrossSiteReuseModel:
         out.frombytes(users_np[self.member_mask(users_np, site_rank)].tobytes())
         return out
 
-    def site_passwords(self, users, site_rank: int) -> list[str]:
-        """Site-stored passwords for a user-index column.
+    def derive_suffixes(self, users, site_rank: int):
+        """The 16-bit DERIVED-password suffixes at one site (uint64).
 
-        Minted as one column: every row is laid out as NUL-padded ASCII
-        in an ``(n, 20)`` byte matrix — ``bg-pw-%08x`` plus ``.%04x``
-        for DERIVED users, ``sw-%016x`` for UNIQUE ones, then a newline
-        — and one decode and split turns the matrix into the strings.
+        Two sites store the same DERIVED password for a user iff these
+        agree (:meth:`site_password` appends ``.%04x`` of it).
         """
         users_np = np.asarray(users, dtype=np.int64)
-        codes = self._behavior_codes(users_np)
-        text = np.zeros((len(users_np), _PASSWORD_WIDTH), dtype=np.uint8)
-        text[:, -1] = ord("\n")
-        reused = codes != ReuseClass.UNIQUE
-        text[reused, :6] = _BG_STEM
-        text[reused, 6:14] = _hex_digits(
-            (users_np[reused].astype(np.uint64) * np.uint64(_PASSWORD_MIX))
-            & np.uint64(0xFFFFFFFF),
-            8,
-        )
-        derived = codes == ReuseClass.DERIVED
-        suffixes = self._lane_np(_DERIVE_SALT, users_np[derived], site_rank)
-        text[derived, 14] = ord(".")
-        text[derived, 15:19] = _hex_digits(suffixes & np.uint64(0xFFFF), 4)
-        unique = ~reused
-        material = self._lane_np(_UNIQUE_SALT, users_np[unique], site_rank)
-        text[unique, :3] = _SW_STEM
-        text[unique, 3:19] = _hex_digits(material, 16)
-        out = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-        out.pop()  # the empty string after the last row's newline
-        return out
+        return self._lane_np(_DERIVE_SALT, users_np, site_rank) & np.uint64(0xFFFF)
+
+    def unique_lanes(self, users, site_rank: int):
+        """The 64-bit UNIQUE-password material at one site (uint64).
+
+        Two sites store the same UNIQUE password for a user iff these
+        agree (:meth:`site_password` spells it ``sw-%016x``).
+        """
+        users_np = np.asarray(users, dtype=np.int64)
+        return self._lane_np(_UNIQUE_SALT, users_np, site_rank)
 
     def cracked_mask(self, users, site_rank: int, crack_rate: float):
         """Columnar :meth:`crack_recovered` over a user-index column."""

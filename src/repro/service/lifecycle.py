@@ -149,7 +149,7 @@ class AccountLifecycle:
         self.reuse_model: CrossSiteReuseModel | None = None
         #: Per-wave dispatch-independent records (analysis input).
         self.stuffing_results: list[StuffingWaveResult] = []
-        if config.stuffing_interval > 0 and config.traffic_users > 0:
+        if config.stuffing_interval > 0:
             # The reuse model is keyed off the lifecycle namespace (a
             # derived seed — no RNG stream consumed), so stuffed
             # credentials are a pure function of the sim-shaping
@@ -292,11 +292,7 @@ class AccountLifecycle:
             successes += provider.attempt_logins(batch).successes
 
         self._traffic_queue.pump(iter(window.batches), consume)
-
-        first_row = self._population.first_row
-        mails = provider.deliver_background(
-            [first_row + u for u in window.mail_users]
-        )
+        mails = provider.deliver_background(window.mail_rows)
 
         self.stats.traffic_windows += 1
         self.stats.traffic_logins += window.login_count

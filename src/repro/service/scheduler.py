@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core.campaign import RegistrationPolicy
 from repro.faults.plan import FaultPlan
+from repro.identity.reuse import check_probability, check_reuse_rates
 from repro.util.timeutil import DAY, HOUR, STUDY_START, SimInstant
 from repro.web.population import RankedSite
 
@@ -104,6 +105,18 @@ class ServiceConfig:
             raise ValueError("epoch_length must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        for name in ("traffic_users", "traffic_logins_per_day",
+                     "traffic_mails_per_day", "stuffing_targets"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        check_reuse_rates(
+            self.stuffing_exact_rate,
+            self.stuffing_derive_rate,
+            self.stuffing_site_density,
+        )
+        check_probability("stuffing_crack_rate", self.stuffing_crack_rate)
+        if self.stuffing_interval > 0 and self.traffic_users == 0:
+            raise ValueError("stuffing_interval requires traffic_users")
 
     def sim_meta(self) -> dict:
         """The sim-shaping facts: journal meta and checkpoint digest.

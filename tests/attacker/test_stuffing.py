@@ -2,16 +2,21 @@
 and vectorized dispatch producing the provider world of the batch
 engine's scalar oracle."""
 
+from array import array
+
+import numpy as np
 import pytest
 
 from repro.attacker.breach import BreachMethod
 from repro.attacker.stuffing import (
     AttackClass,
+    BreachCorpus,
     StuffingEngine,
     build_benign_corpus,
 )
+from repro.email_provider.accounts import benign_password
 from repro.email_provider.provider import EmailProvider
-from repro.identity.reuse import CrossSiteReuseModel
+from repro.identity.reuse import CrossSiteReuseModel, ReuseClass
 from repro.sim.clock import SimClock
 from repro.traffic.population import BenignPopulation
 from repro.util.rngtree import RngTree
@@ -69,7 +74,7 @@ class TestCorpus:
         )
         assert list(corpus.users) == list(model.members(7, UNIVERSE))
         assert corpus.acquisition is AttackClass.ONLINE_CAPTURE
-        assert len(corpus.passwords) == len(corpus)
+        assert len(corpus.codes) == len(corpus)
 
     def test_db_dump_keeps_only_cracked_rows(self, model):
         full = build_benign_corpus(
@@ -88,14 +93,29 @@ class TestCorpus:
             crack_rate=0.5,
         )
         assert again.users == dump.users
-        assert again.passwords == dump.passwords
+        assert again.codes == dump.codes
 
     def test_corpus_passwords_are_the_site_passwords(self, model):
+        """The haul is what the breached site stores: the codes are the
+        users' reuse classes, a wave's claims spell the site passwords,
+        and its ``own`` mask marks exactly the claims equal to the
+        mailbox password."""
         corpus = build_benign_corpus(
             model, UNIVERSE, 7, "breached.test", BreachMethod.ONLINE_CAPTURE
         )
-        for u, pw in zip(corpus.users, corpus.passwords):
-            assert pw == model.site_password(u, 7)
+        assert list(corpus.codes) == [model.behavior(u) for u in corpus.users]
+        _, engine = make_engine(model, size=UNIVERSE)
+        wave = engine.plan_wave(corpus)
+        claims, own = [], []
+        for batch in wave.batches:
+            claims += [batch.password(i) for i in range(len(batch))]
+            own += batch.own.tolist()
+        site = [model.site_password(u, 7) for u in corpus.users]
+        assert claims == site
+        assert own == [
+            pw == benign_password(u) for u, pw in zip(corpus.users, site)
+        ]
+        assert True in own and False in own
 
     def test_corpus_prefix_closed_across_universes(self, model):
         small = build_benign_corpus(
@@ -106,7 +126,7 @@ class TestCorpus:
         )
         n = len(small)
         assert list(large.users)[:n] == list(small.users)
-        assert large.passwords[:n] == small.passwords
+        assert large.codes[:n] == small.codes
 
 
 class TestWavePlanning:
@@ -117,8 +137,10 @@ class TestWavePlanning:
         )
         wave = engine.plan_wave(corpus)
         assert list(wave.users) == [u for u in corpus.users if u < 300]
-        total = sum(len(b.keys) for b in wave.batches)
+        total = sum(len(b) for b in wave.batches)
         assert total == wave.candidates
+        rows = [r for b in wave.batches for r in b.rows.tolist()]
+        assert rows == [u + engine._population.first_row for u in wave.users]
 
     def test_batch_splitting_preserves_event_order(self, model):
         _, engine_small = make_engine(model, batch_events=16)
@@ -131,9 +153,9 @@ class TestWavePlanning:
         assert len(small.batches) > 1
         assert len(big.batches) == 1
         flat = lambda waves, col: [
-            v for b in waves.batches for v in getattr(b, col)
+            v for b in waves.batches for v in getattr(b, col).tolist()
         ]
-        for col in ("keys", "passwords", "ips", "methods", "rows"):
+        for col in ("rows", "own", "ips", "methods"):
             assert flat(small, col) == flat(big, col)
 
     def test_proxy_ips_stay_out_of_the_benign_space(self, model):
@@ -143,7 +165,7 @@ class TestWavePlanning:
         )
         wave = engine.plan_wave(corpus)
         for batch in wave.batches:
-            for ip in batch.ips:
+            for ip in batch.ips.tolist():
                 assert ip >> 24 == 0x2E
                 assert not (0x60000000 <= ip < 0x80000000)
 
@@ -169,6 +191,43 @@ class TestWavePlanning:
             assert report.hits == expected_hits
             assert 0 < report.candidates
             assert report.hits <= report.candidates
+
+    def test_lane_hits_equal_site_password_equality(self):
+        """Hits counted from the lanes equal a string comparison of
+        ``site_password`` at the two sites, over random users and
+        ranks and over users whose derive suffixes collide."""
+        model = CrossSiteReuseModel.from_tree(
+            RngTree(SEED), exact_rate=0.2, derive_rate=0.7, site_density=1.0
+        )
+        # Forced collisions: DERIVED users whose 16-bit suffixes at
+        # ranks 3 and 8 agree (about 1 in 65536 per user).
+        pool = np.arange(1_000_000, dtype=np.int64)
+        collide = pool[
+            (model.derive_suffixes(pool, 3) == model.derive_suffixes(pool, 8))
+            & (np.frombuffer(model.behaviors(pool), np.uint8) == ReuseClass.DERIVED)
+        ]
+        assert collide.size >= 2
+        rng = np.random.default_rng(SEED)
+        cases = [(3, 8, collide)] + [
+            (int(a), int(b), np.unique(rng.integers(0, 1 << 40, 300)))
+            for a, b in rng.integers(0, 5000, size=(6, 2))
+        ]
+        _, engine = make_engine(model)
+        for source, target, users in cases:
+            users = np.sort(np.concatenate((users, np.arange(40))))
+            members = array("q", users.tolist())
+            corpus = BreachCorpus(
+                source, "src.test", BreachMethod.ONLINE_CAPTURE, 0,
+                int(users[-1]) + 1, members, model.behaviors(members),
+            )
+            report = engine._probe_target(corpus, target)
+            assert report.candidates == len(users)
+            assert report.hits == sum(
+                model.site_password(u, source) == model.site_password(u, target)
+                for u in members
+            )
+            if source == 3:
+                assert report.hits >= collide.size
 
 
 class TestDispatchEquivalence:
@@ -233,7 +292,9 @@ class TestDispatchEquivalence:
         )
         engine_b.plan_wave(other)
         wave_b = engine_b.plan_wave(corpus)
+        assert len(wave_a.batches) == len(wave_b.batches) > 1
         for a, b in zip(wave_a.batches, wave_b.batches):
-            assert a.ips == b.ips
-            assert a.methods == b.methods
-            assert a.keys == b.keys
+            assert a.ips.tolist() == b.ips.tolist()
+            assert a.methods.tolist() == b.methods.tolist()
+            assert a.rows.tolist() == b.rows.tolist()
+            assert a.own.tolist() == b.own.tolist()

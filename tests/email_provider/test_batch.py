@@ -2,9 +2,11 @@
 provider's per-event path and with the engine's scalar oracle, plus
 checks that the vectorized path actually runs."""
 
+import numpy as np
 import pytest
 
 from repro.email_provider import batch as batch_mod
+from repro.email_provider.accounts import benign_local, benign_password
 from repro.email_provider.batch import LoginBatch
 from repro.email_provider.provider import (
     EmailProvider,
@@ -33,10 +35,30 @@ def make_provider():
         assert provider.provision(
             f"monitored.{i}", f"Mon {i}", f"MonPw!{i:04d}"
         ).created
-    locals_lower = [f"bg{i:08d}" for i in range(40)]
-    passwords = [f"bg-pw-{i:08d}" for i in range(40)]
-    provider.register_benign_accounts(locals_lower, passwords)
+    assert provider.register_benign_accounts(40) == 6
     return provider
+
+
+#: Row of benign user ``i`` in :func:`make_provider`'s table.
+FIRST = 6
+WRONG = "not-the-password"
+
+
+def own_or_wrong(row, own):
+    """The claim of a row batch whose non-own events mistype."""
+    return benign_password(row - FIRST) if own else WRONG
+
+
+def row_batch(users, own, ips, methods=None, claim=own_or_wrong):
+    n = len(users)
+    return LoginBatch(
+        np.asarray(users, dtype=np.int64) + FIRST,
+        np.asarray(own, dtype=np.bool_),
+        np.asarray(ips, dtype=np.uint64),
+        np.asarray(methods if methods is not None else [i % 5 for i in range(n)],
+                   dtype=np.uint8),
+        claim,
+    )
 
 
 def world_state(provider):
@@ -73,15 +95,15 @@ def run_batched(provider, attempts):
 
 MIXED_SPEC = (
     # clean successes on distinct rows
-    [(f"bg{i:08d}", f"bg-pw-{i:08d}", 0x30000000 + i, i) for i in range(25)]
+    [(f"bg{i:08d}", benign_password(i), 0x30000000 + i, i) for i in range(25)]
     # monitored successes
     + [(f"monitored.{i}", f"MonPw!{i:04d}", 0x40000000 + i, i) for i in range(6)]
     # failures, repeats on one row, an unknown account
     + [
         ("bg00000003", "wrong-guess", 0x50000001, 0),
-        ("bg00000003", "bg-pw-00000003", 0x50000002, 1),
+        ("bg00000003", benign_password(3), 0x50000002, 1),
         ("ghost.user", "whatever", 0x50000003, 2),
-        ("bg00000025", "bg-pw-00000025", 0x50000004, 3),
+        ("bg00000025", benign_password(25), 0x50000004, 3),
     ]
 )
 
@@ -89,7 +111,7 @@ MIXED_SPEC = (
 #: clean successes (monitored ones too), one clean failure, and one row
 #: hit twice (routed rare).
 VECTOR_SPEC = (
-    [(f"bg{i:08d}", f"bg-pw-{i:08d}", 0x30000000 + i, i) for i in range(36)]
+    [(f"bg{i:08d}", benign_password(i), 0x30000000 + i, i) for i in range(36)]
     + [(f"monitored.{i}", f"MonPw!{i:04d}", 0x40000000 + i, i) for i in range(6)]
     + [
         ("bg00000037", "wrong-guess", 0x50000001, 0),
@@ -135,33 +157,99 @@ class TestEquivalence:
         assert tally[LoginResult.SUCCESS] == len(attempts) - 2
 
     def test_producer_rows_match_key_resolution(self):
-        keys = [f"bg{i:08d}" for i in range(35)]
-        passwords = [f"bg-pw-{i:08d}" for i in range(35)]
-        from array import array
-
-        ips = array("Q", [0x61000000 + i for i in range(35)])
-        methods = bytearray(35)
+        """A row batch (rows plus an own mask) decides exactly as the
+        keyed batch naming the same accounts with password strings."""
+        users = list(range(35)) + [3, 7]
+        own = [i % 4 != 1 for i in range(len(users))]
+        ips = [0x61000000 + i for i in range(len(users))]
+        keyed = LoginBatch.keyed(
+            [benign_local(u) for u in users],
+            [own_or_wrong(u + FIRST, o) for u, o in zip(users, own)],
+            ips,
+            [i % 5 for i in range(len(users))],
+        )
         by_keys = make_provider()
-        receipt_keys = by_keys.attempt_logins(
-            LoginBatch(list(keys), list(passwords), ips[:], bytearray(methods))
-        )
+        receipt_keys = by_keys.attempt_logins(keyed)
         by_rows = make_provider()
-        rows = array("q", (by_rows._table._index[k] for k in keys))
-        receipt_rows = by_rows.attempt_logins(
-            LoginBatch(list(keys), list(passwords), ips[:], bytearray(methods), rows)
-        )
+        receipt_rows = by_rows.attempt_logins(row_batch(users, own, ips))
         assert bytes(receipt_rows.results) == bytes(receipt_keys.results)
         assert world_state(by_rows) == world_state(by_keys)
+        assert by_rows.batch_engine_stats()["vector_committed"] > 0
 
     def test_mismatched_columns_rejected(self):
-        from array import array
-
         with pytest.raises(ValueError):
-            LoginBatch(["a"], ["p", "q"], array("Q", [1]), bytearray(1))
+            LoginBatch.keyed(["a"], ["p", "q"], [1], [0])
         with pytest.raises(ValueError):
             LoginBatch(
-                ["a"], ["p"], array("Q", [1]), bytearray(1), array("q", [1, 2])
+                np.array([1, 2]), np.array([True]), np.array([1], np.uint64),
+                np.array([0], np.uint8), own_or_wrong,
             )
+
+    def test_row_batches_must_address_the_benign_block(self):
+        provider = make_provider()
+        with pytest.raises(ValueError, match="benign block"):
+            provider.attempt_logins(row_batch([-1], [True], [0x61000000]))
+        with pytest.raises(ValueError, match="benign block"):
+            provider.attempt_logins(row_batch([40], [True], [0x61000000]))
+
+
+class TestOverrides:
+    """Benign rows whose password was reset: the mask alone no longer
+    decides, the override does — identically on every path."""
+
+    #: Users 5 and 9 appear twice (routed rare), 12 and 20 once (clean).
+    USERS = list(range(36)) + [5, 9]
+    RESETS = {5: "Reset!0005", 9: "Reset!0009", 12: "Reset!0012",
+              20: benign_password(20)}
+
+    @staticmethod
+    def claim(row, own):
+        if own:
+            return benign_password(row - FIRST)
+        return "Reset!0009" if row - FIRST == 9 else WRONG
+
+    def reset_provider(self):
+        provider = make_provider()
+        for user, password in self.RESETS.items():
+            assert provider.support_reset(benign_local(user), password)
+        assert provider.account(benign_local(9)).password == "Reset!0009"
+        assert provider._table.overrides == {
+            FIRST + user: password for user, password in self.RESETS.items()
+        }
+        return provider
+
+    def test_vector_oracle_and_per_event_paths_agree(self, scalar_oracle):
+        own = [i not in (9, 36) for i in range(len(self.USERS))]
+        ips = [0x62000000 + i for i in range(len(self.USERS))]
+        batch = row_batch(self.USERS, own, ips, claim=self.claim)
+
+        vec = self.reset_provider()
+        vec_codes = list(vec.attempt_logins(batch).results)
+        assert vec.batch_engine_stats()["vector_committed"] > 0
+        with scalar_oracle():
+            oracle = self.reset_provider()
+            oracle_codes = list(oracle.attempt_logins(batch).results)
+        assert oracle.batch_engine_stats()["fallback_events"] == len(batch)
+
+        scalar = self.reset_provider()
+        methods = tuple(LoginMethod)
+        scalar_codes = [
+            RESULT_CODES[scalar.attempt_login(
+                benign_local(int(batch.rows[i]) - FIRST),
+                batch.password(i),
+                IPv4Address(int(batch.ips[i])),
+                methods[int(batch.methods[i])],
+            )]
+            for i in range(len(batch))
+        ]
+        assert vec_codes == oracle_codes == scalar_codes
+        assert world_state(vec) == world_state(oracle) == world_state(scalar)
+        # Own claims fail on rows reset to something else and succeed
+        # on a row reset to its derived password; user 9's guess is
+        # its new password.
+        assert vec_codes[5] == vec_codes[12] == vec_codes[36] == 1
+        assert vec_codes[37] == 1
+        assert vec_codes[9] == vec_codes[20] == 0
 
 
 class TestCleanFailurePath:
@@ -216,7 +304,7 @@ class TestCleanFailurePath:
         assert engine._throttle_rev != provider._throttle_rev
         # A fresh window probes the rebuilt (empty) key set cleanly.
         ok_spec = [
-            (f"bg{i:08d}", f"bg-pw-{i:08d}", 0x52000000 + i, i)
+            (f"bg{i:08d}", benign_password(i), 0x52000000 + i, i)
             for i in range(36)
         ]
         codes = run_batched(provider, attempts_from(ok_spec))
@@ -243,7 +331,7 @@ class TestHotRowEquivalence:
         """Drive one row across the suspicion threshold both ways."""
         threshold = EmailProvider.SUSPICION_DISTINCT_IPS
         spec = [
-            ("bg00000000", "bg-pw-00000000", 0x21000000 + i, i)
+            ("bg00000000", benign_password(0), 0x21000000 + i, i)
             for i in range(threshold + 20)
         ]
         attempts = attempts_from(spec)
@@ -268,7 +356,7 @@ if HAVE_HYPOTHESIS:
             u = draw(st.integers(min_value=0, max_value=41))
             key = f"bg{u:08d}" if u < 40 else f"nobody{u}"
             good = draw(st.booleans())
-            password = f"bg-pw-{u:08d}" if good else "not-the-password"
+            password = benign_password(u) if good else "not-the-password"
             ip = draw(st.integers(min_value=1, max_value=12)) + 0x22000000
             method = draw(st.integers(min_value=0, max_value=4))
             spec.append((key, password, ip, method))

@@ -1,8 +1,14 @@
 """Tests for the email provider (Section 4.2)."""
 
+import numpy as np
 import pytest
 
-from repro.email_provider.accounts import AccountState, NamingPolicy
+from repro.email_provider.accounts import (
+    AccountState,
+    NamingPolicy,
+    benign_local,
+    benign_password,
+)
 from repro.email_provider.batch import LoginBatch
 from repro.email_provider.provider import EmailProvider, LoginResult
 from repro.email_provider.telemetry import LoginMethod
@@ -337,8 +343,155 @@ class TestDelivery:
         provider.send_spam_from("AlphaUser01", "Secret1234", 100)
         assert not provider.deliver(self.make_message("AlphaUser01@prov.example"))
 
+    def test_delivery_to_a_benign_row(self, provider):
+        first = provider.register_benign_accounts(10)
+        assert provider.deliver(self.make_message("BG00000004@prov.example"))
+        assert provider.account(benign_local(4)).received_message_count == 1
+        assert provider._table.received_counts[first + 4] == 1
+        assert not provider.deliver(self.make_message("bg00000010@prov.example"))
+
+    def test_background_delivery_matches_the_loop(self, provider):
+        first = provider.register_benign_accounts(20)
+        for user in (3, 7):
+            provider.account(benign_local(user)).state = AccountState.DEACTIVATED
+        provider.deliver(self.make_message("bg00000001@prov.example"))
+        rows = [first + u for u in (1, 1, 3, 5, 7, 7, 19, 1, 0)]
+        table = provider._table
+        counts = list(table.received_counts)
+        delivered = 0
+        for row in rows:  # the per-message loop
+            if table.states[row] != 2:
+                counts[row] += 1
+                delivered += 1
+        assert provider.deliver_background(np.array(rows, dtype=np.int64)) == delivered
+        assert list(table.received_counts) == counts
+        assert counts[first + 1] == 4  # drawn three times, plus one message
+        assert counts[first + 7] == 0
+        assert provider.deliver_background(np.empty(0, dtype=np.int64)) == 0
+
+
+class TestBenignBlock:
+    """The benign population is one row block named by arithmetic."""
+
+    def test_block_rows_derive_locals_and_passwords(self, provider):
+        first = provider.register_benign_accounts(50)
+        assert first == 1
+        assert provider.total_account_count() == 51
+        assert provider.account_count() == 1  # monitored rows only
+        account = provider.account("bg00000042")
+        assert account.local_part == "bg00000042"
+        assert account.password == benign_password(42)
+        assert account.display_name == ""
+        assert account.forwarding_address is None
+        assert not account.monitored
+        assert provider.attempt_login(
+            "BG00000042", benign_password(42), IP, LoginMethod.IMAP
+        ) is LoginResult.SUCCESS
+        assert provider.attempt_login(
+            "bg00000042", benign_password(41), IP, LoginMethod.IMAP
+        ) is LoginResult.BAD_PASSWORD
+        (event,) = provider.telemetry.all_events_ground_truth()
+        assert event.local_part == "bg00000042"
+        assert provider.collect_login_dump() == []  # outside the scope
+
+    def test_password_changes_land_in_the_override_map(self, provider):
+        first = provider.register_benign_accounts(5)
+        assert provider.change_password("bg00000002", benign_password(2), "New!pw99")
+        assert provider._table.overrides == {first + 2: "New!pw99"}
+        assert provider.account("bg00000002").password == "New!pw99"
+        assert provider.attempt_login(
+            "bg00000002", benign_password(2), IP, LoginMethod.IMAP
+        ) is LoginResult.BAD_PASSWORD
+        assert provider.attempt_login(
+            "bg00000002", "New!pw99", IP, LoginMethod.IMAP
+        ) is LoginResult.SUCCESS
+        assert provider.remove_forwarding("bg00000002", "New!pw99")
+        with pytest.raises(ValueError):
+            provider.account("bg00000002").forwarding_address = "x@y.test"
+
+    def test_registration_rejects_a_second_block_or_a_held_name(self):
+        provider = EmailProvider("b.example", SimClock(0), RngTree(2))
+        assert provider.provision("bg00000030", "N", "pw12345678").created
+        assert provider.provision("bg0000003", "N", "pw12345678").created
+        first = provider.register_benign_accounts(30)
+        assert first == 2
+        assert provider.account("bg00000030").password == "pw12345678"
+        assert provider.account("bg0000003").password == "pw12345678"
+        with pytest.raises(ValueError, match="already registered"):
+            provider.register_benign_accounts(5)
+
+        held = EmailProvider("b.example", SimClock(0), RngTree(2))
+        assert held.provision("BG00000029", "N", "pw12345678").created
+        with pytest.raises(ValueError, match="namespace"):
+            held.register_benign_accounts(30)
+        assert held.account("bg00000029").password == "pw12345678"
+        assert held.total_account_count() == 1
+        # 8 digits name at most 10**8 users.
+        with pytest.raises(ValueError, match="block size"):
+            held.register_benign_accounts(10**8 + 1)
+        with pytest.raises(ValueError, match="block size"):
+            held.register_benign_accounts(-1)
+
 
 if HAVE_HYPOTHESIS:
+
+    #: Benign block size in the namespace property below.
+    _BLOCK = 12
+    #: Keys on every edge of the namespace: in the block, upper-case,
+    #: 7 and 9 digits, the first index past the block, a fullwidth
+    #: digit (``int()`` accepts it; the namespace is ASCII only).
+    _EDGE_KEYS = [
+        "bg00000005", "BG00000005", "bG00000011", "bg00000000",
+        "bg0000005", "bg000000050", f"bg{_BLOCK:08d}", "bg0000000\uff15",
+        "bg-0000001", "xbg0000001", "bg00000005x",
+    ]
+    _NAMES = st.one_of(
+        st.sampled_from(_EDGE_KEYS),
+        st.builds(
+            lambda digits: "bg" + digits,
+            st.text(alphabet="0123456789", min_size=7, max_size=9),
+        ),
+        st.from_regex(r"[A-Za-z][a-z0-9.]{5,9}", fullmatch=True),
+    )
+
+    class TestBenignNamespaceProperty:
+        """``row_of``, ``account_exists`` and ``provision`` against a
+        dict oracle, with named rows on both sides of the block."""
+
+        @settings(max_examples=80, deadline=None)
+        @given(before=st.lists(_NAMES, max_size=6),
+               after=st.lists(_NAMES, max_size=6),
+               probes=st.lists(_NAMES, max_size=12))
+        def test_matches_a_dict_oracle(self, before, after, probes):
+            provider = EmailProvider("ns.example", SimClock(0), RngTree(3))
+            policy = NamingPolicy()
+            oracle: dict[str, int] = {}
+
+            def provision(name):
+                expected = policy.violation(name) is None and name.lower() not in oracle
+                assert provider.provision(name, "N", "pw12345678").created == expected
+                if expected:
+                    oracle[name.lower()] = provider.total_account_count() - 1
+
+            for name in before:
+                provision(name)
+            held = [key for key in oracle if key in
+                    {benign_local(i) for i in range(_BLOCK)}]
+            if held:
+                with pytest.raises(ValueError):
+                    provider.register_benign_accounts(_BLOCK)
+                return
+            first = provider.register_benign_accounts(_BLOCK)
+            for i in range(_BLOCK):
+                oracle[benign_local(i)] = first + i
+            for name in after:
+                provision(name)
+            table = provider._table
+            for key in probes + _EDGE_KEYS + list(oracle):
+                assert table.row_of(key) == oracle.get(key.lower()), key
+                assert provider.account_exists(key) == (key.lower() in oracle), key
+            for key, row in oracle.items():
+                assert table.local_of(row).lower() == key
 
     #: (action, row, source-IP index, clock step) with action 0-4 a
     #: success, 5 a failure and 6 an eviction.

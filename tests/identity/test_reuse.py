@@ -3,7 +3,7 @@
 import pytest
 
 from repro.identity.reuse import CrossSiteReuseModel, ReuseClass
-from repro.traffic.population import benign_password
+from repro.email_provider.accounts import benign_password
 from repro.util.rngtree import RngTree
 
 try:
@@ -18,6 +18,24 @@ SEED = 2017
 
 def make_model(**kwargs):
     return CrossSiteReuseModel.from_tree(RngTree(SEED), **kwargs)
+
+
+def spelled(model, users, rank):
+    """Site passwords spelled from the columnar lanes: the class code,
+    the derive suffix and the unique lane."""
+    users = [int(u) for u in users]
+    codes = model.behaviors(users)
+    suffixes = model.derive_suffixes(users, rank).tolist()
+    lanes = model.unique_lanes(users, rank).tolist()
+    out = []
+    for u, code, suffix, lane in zip(users, codes, suffixes, lanes):
+        if code == ReuseClass.EXACT:
+            out.append(benign_password(u))
+        elif code == ReuseClass.DERIVED:
+            out.append(benign_password(u) + ".%04x" % suffix)
+        else:
+            out.append("sw-%016x" % lane)
+    return out
 
 
 class TestScalarLanes:
@@ -56,6 +74,10 @@ class TestScalarLanes:
             CrossSiteReuseModel(1, exact_rate=0.8, derive_rate=0.3)
         with pytest.raises(ValueError):
             CrossSiteReuseModel(1, site_density=1.5)
+        with pytest.raises(ValueError):
+            CrossSiteReuseModel(1, exact_rate=-0.1)
+        with pytest.raises(ValueError):
+            CrossSiteReuseModel(1, derive_rate=float("nan"))
 
     def test_from_tree_consumes_no_rng_stream(self):
         tree = RngTree(SEED)
@@ -79,19 +101,21 @@ class TestColumnarParity:
         assert list(large[: len(small)]) == list(small)
 
     def test_site_passwords_match_scalar(self):
+        """The columnar lanes determine the scalar site passwords."""
         model = make_model()
         members = model.members(2, 3000)
         classes = {model.behavior(int(u)) for u in members}
         assert classes == set(ReuseClass)
-        assert model.site_passwords(members, 2) == [
+        assert spelled(model, members, 2) == [
             model.site_password(int(u), 2) for u in members
         ]
         # Indices far past any population still mint the scalar forms.
         users = [0, 2**31 - 1, 2**32 + 5, 2**40 + 3]
-        assert model.site_passwords(users, 2) == [
+        assert spelled(model, users, 2) == [
             model.site_password(u, 2) for u in users
         ]
-        assert model.site_passwords(model.members(2, 0), 2) == []
+        assert spelled(model, model.members(2, 0), 2) == []
+        assert model.derive_suffixes([], 2).size == model.unique_lanes([], 2).size == 0
 
     @pytest.mark.parametrize(
         "rates", [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.5)]
@@ -99,7 +123,7 @@ class TestColumnarParity:
     def test_site_passwords_match_scalar_at_extreme_rates(self, rates):
         model = make_model(exact_rate=rates[0], derive_rate=rates[1])
         users = range(200)
-        assert model.site_passwords(users, 4) == [
+        assert spelled(model, users, 4) == [
             model.site_password(u, 4) for u in users
         ]
 
@@ -163,9 +187,7 @@ if HAVE_HYPOTHESIS:
             assert forward == list(reversed(backward))
             # Columnar evaluation agrees with both scalar sweeps.
             assert list(model.behaviors(users)) == [b for b, _, _ in forward]
-            assert model.site_passwords(users, rank) == [
-                p for _, _, p in forward
-            ]
+            assert spelled(model, users, rank) == [p for _, _, p in forward]
 
         @settings(max_examples=30, deadline=None)
         @given(

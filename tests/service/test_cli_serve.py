@@ -120,3 +120,17 @@ class TestServe:
     def test_rejects_bad_epoch_count(self):
         with pytest.raises(ValueError, match="epochs"):
             main(["serve", "--epochs", "0"])
+
+    @pytest.mark.parametrize("args,match", [
+        (["--traffic-users", "-5"], "traffic_users"),
+        (["--traffic-users", "50", "--stuffing-site-density", "1.5"],
+         "site_density"),
+        (["--traffic-users", "50", "--stuffing-crack-rate", "7"], "crack_rate"),
+        (["--stuffing-interval-days", "2"], "traffic_users"),
+    ])
+    def test_rejects_bad_traffic_and_stuffing_settings(self, tmp_path, args, match):
+        store = tmp_path / "store"
+        with pytest.raises(ValueError, match=match):
+            main(SERVE_ARGS + ["--world-store", str(store)] + args)
+        # The config is checked before the world store is built.
+        assert not store.exists()

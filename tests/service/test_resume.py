@@ -62,20 +62,22 @@ def run_killed_at(config, checkpoint_path, kill_after_epoch):
 
 def assert_resume_matches(tmp_path, kill_after_epoch, *,
                           fault_profile=None, resume_workers=1,
-                          resume_executor="serial"):
-    reference = CampaignDaemon(make_config(fault_profile)).run()
+                          resume_executor="serial", **config_kwargs):
+    reference = CampaignDaemon(make_config(fault_profile, **config_kwargs)).run()
     assert not reference.interrupted
 
     checkpoint_path = tmp_path / "svc.ckpt"
     interrupted = run_killed_at(
-        make_config(fault_profile), checkpoint_path, kill_after_epoch
+        make_config(fault_profile, **config_kwargs), checkpoint_path,
+        kill_after_epoch,
     )
     assert interrupted.interrupted
     assert interrupted.epochs_completed == kill_after_epoch + 1
     assert checkpoint_path.exists()
 
     resume_config = make_config(
-        fault_profile, workers=resume_workers, executor=resume_executor
+        fault_profile, workers=resume_workers, executor=resume_executor,
+        **config_kwargs,
     )
     checkpoint = load_checkpoint(checkpoint_path, resume_config)
     assert checkpoint.epochs_completed == kill_after_epoch + 1
@@ -90,12 +92,27 @@ def assert_resume_matches(tmp_path, kill_after_epoch, *,
     assert resumed.journal.to_jsonl() == reference.journal.to_jsonl()
     assert resumed.detection_digest == reference.detection_digest
     assert len(resumed.attempts) == len(reference.attempts)
+    return reference
 
 
 class TestKillMatrixFast:
     @pytest.mark.parametrize("kill_after_epoch", [0, 1])
     def test_serial_no_faults(self, tmp_path, kill_after_epoch):
         assert_resume_matches(tmp_path, kill_after_epoch)
+
+    @pytest.mark.parametrize("kill_after_epoch", [0, 1])
+    def test_population_and_stuffing(self, tmp_path, kill_after_epoch):
+        """The resumed daemon rebuilds the benign row block and replays
+        traffic and stuffing to the uninterrupted run's bytes."""
+        reference = assert_resume_matches(
+            tmp_path, kill_after_epoch, traffic_users=2000,
+            traffic_logins_per_day=3.0, stuffing_interval=4 * DAY,
+            stuffing_site_density=0.1,
+        )
+        lifecycle = reference.lifecycle
+        assert lifecycle.traffic_logins > 0
+        assert lifecycle.stuffing_waves > 0
+        assert lifecycle.stuffing_successes > 0
 
     def test_serial_mild_faults(self, tmp_path):
         assert_resume_matches(tmp_path, 0, fault_profile="mild")

@@ -27,6 +27,29 @@ class TestServiceConfig:
         with pytest.raises(ValueError, match="checkpoint_every"):
             make_config(checkpoint_every=0)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(traffic_users=-5), "traffic_users"),
+        (dict(traffic_logins_per_day=-1.0), "traffic_logins_per_day"),
+        (dict(traffic_mails_per_day=-0.5), "traffic_mails_per_day"),
+        (dict(traffic_users=10, stuffing_targets=-1), "stuffing_targets"),
+        (dict(traffic_users=10, stuffing_site_density=1.5), "site_density"),
+        (dict(traffic_users=10, stuffing_crack_rate=7.0), "crack_rate"),
+        (dict(traffic_users=10, stuffing_exact_rate=-0.1), "exact_rate"),
+        (dict(traffic_users=10, stuffing_exact_rate=0.6,
+              stuffing_derive_rate=0.5), "sub-distribution"),
+        (dict(stuffing_interval=4 * DAY), "traffic_users"),
+    ])
+    def test_rejects_bad_traffic_and_stuffing_settings(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            make_config(**kwargs)
+
+    def test_accepts_the_edges_of_every_range(self):
+        make_config(traffic_users=0, traffic_logins_per_day=0.0,
+                    traffic_mails_per_day=0.0, stuffing_targets=0)
+        make_config(traffic_users=10, stuffing_interval=DAY,
+                    stuffing_exact_rate=1.0, stuffing_derive_rate=0.0,
+                    stuffing_site_density=1.0, stuffing_crack_rate=0.0)
+
     def test_sim_meta_excludes_execution_shaping(self):
         meta = make_config(workers=4, executor="process",
                            warm_workers=False, checkpoint_every=2).sim_meta()
