@@ -22,34 +22,36 @@ IP-window state transitions, the same RNG draws in the same order, the
 same telemetry columns, the same aggregated obs counters — so a run's
 journal bytes cannot reveal which engine authenticated its logins.
 
-How it holds that contract at speed: a batch is split into **clean**
-events and **rare** events.  Clean means boring — the account exists
-and is active, the row has no throttle entry and appears exactly once
-in the batch, and then either the password matches and the row is not
-hot in the suspicion machinery and nowhere near the suspicion
-threshold (a **clean success**), or the password mismatches (a **clean
-failure** — failures never touch the IP machinery, so the hot/near
-conditions don't apply).  Clean events cannot draw from the RNG and
-touch disjoint rows from every rare event, so they commit as
-whole-column operations: numpy gathers classify them; clean successes
-land one bulk evidence-log append, one whole-column compare against
-the first-seen-IP column and one scatter bump of the cached distinct
-counters; clean failures land one bulk insert of fresh
-first-failure throttle entries.  Everything else — throttled or
-locked rows, non-active accounts, hot or near-threshold successes,
-rows hit more than once in the window — is routed, in event order,
-through :meth:`EmailProvider._attempt_row`: the *same* per-row
-decision core the scalar path runs, so the subtle cases have exactly
-one implementation.
+How it holds that contract at speed: every event is decided against
+the batch-start state of its row, read by gathers over the row-indexed
+columns (account state, the throttle columns, the cached distinct-IP
+counter).  An event whose row appears exactly once in the batch
+touches no other event's row, so:
 
-The membership probes (throttled rows, hot rows) reuse sorted key
-arrays cached against the provider's key-set revision counters
-(``_throttle_rev``/``_hot_rev``): windows that change no key set —
-the common case — probe without rebuilding, and the engine's own
-bulk throttle insert merges into the cached array instead of
-invalidating it.  Duplicate detection runs in reusable scratch
-buffers (copy → in-place sort → adjacent compare) rather than
-allocating an ``np.unique`` workspace per window.
+- a locked row answers THROTTLED and a non-active account its state's
+  code, straight from the gathers;
+- a failure on an active row runs the throttle arithmetic as whole
+  columns — fresh or continued window, the count, a lock reached at
+  ``BRUTE_FORCE_LIMIT`` — and lands as one scatter per column;
+- a success on an active row clears any failure count, lands one bulk
+  evidence-log append, one whole-column compare against the
+  first-seen-IP column and one scatter bump of the cached distinct
+  counters — provided it cannot draw from the RNG: the row is not hot
+  in the suspicion machinery and not one distinct IP below the
+  suspicion threshold.
+
+Two kinds of event are **rare** and are routed, in event order,
+through :meth:`EmailProvider._attempt_row` — the *same* per-row
+decision core the scalar path runs: events on rows hit more than once
+in the window (a row's state moves between its events), and successes
+that may draw from the RNG (the draw order is the event order).
+
+The hot-row membership probe reuses a sorted key array cached against
+the provider's hot-set revision counter (``_hot_rev``), so windows that
+change no hot row — the common case — probe without rebuilding it.
+Duplicate detection runs in reusable scratch buffers (copy → in-place
+sort → adjacent compare) rather than allocating an ``np.unique``
+workspace per window.
 
 Windows below :data:`VECTOR_MIN_EVENTS`, or with a key no account
 resolves, take :meth:`BatchLoginEngine._attempt_serial` instead: every
@@ -72,7 +74,7 @@ from operator import eq
 
 import numpy as np
 
-from repro.email_provider.provider import NO_IP
+from repro.email_provider.provider import NO_ENTRY, NO_IP, STATE_RESULT_CODES
 from repro.email_provider.telemetry import METHOD_CODES, METHOD_ORDER, LoginMethod
 from repro.net.ipaddr import IPv4Address
 from repro.util.timeutil import SimInstant
@@ -82,15 +84,18 @@ from repro.util.timeutil import SimInstant
 #: service's single-event attacker/probe bridges in particular).
 VECTOR_MIN_EVENTS = 32
 
-#: Shared empty sorted-key array (the membership caches' rest state).
+#: Shared empty sorted-key array (the hot-row cache's rest state).
 _EMPTY_KEYS = np.empty(0, np.int64)
+
+#: Account-state byte -> result code, as a gather table (ACTIVE -> 0).
+_STATE_RESULTS = np.array(STATE_RESULT_CODES, dtype=np.uint8)
 
 
 def _in_sorted(sorted_keys, values):
     """Boolean membership of ``values`` in a sorted int64 key array.
 
-    ``searchsorted`` beats ``np.isin`` here: the key sets (throttled
-    rows, hot rows) are tiny next to the batch, and ``np.isin``'s
+    ``searchsorted`` beats ``np.isin`` here: the key sets (hot rows,
+    overridden rows) are tiny next to the batch, and ``np.isin``'s
     sort-based path both concatenate-sorts the full batch and touches
     ``np.ma`` lazily, dragging a module import into the hot loop's
     first call.
@@ -222,9 +227,9 @@ class BatchLoginEngine:
     """Authenticates :class:`LoginBatch` windows against one provider.
 
     Holds no state of its own beyond the provider reference — the
-    throttle map, evidence log, cached counters and RNG stream are the
-    provider's, so scalar and batched logins interleave freely against
-    the same account table.
+    throttle columns, evidence log, cached counters and RNG stream are
+    the provider's, so scalar and batched logins interleave freely
+    against the same account table.
 
     The path tallies (``windows``, ``vector_committed``,
     ``scalar_replayed``, ``fallback_events``) are plain attributes, not
@@ -242,8 +247,6 @@ class BatchLoginEngine:
         "vector_failed",
         "scalar_replayed",
         "fallback_events",
-        "_throttle_keys",
-        "_throttle_rev",
         "_hot_keys",
         "_hot_rev",
         "_sort_buf",
@@ -254,10 +257,10 @@ class BatchLoginEngine:
         self._provider = provider
         #: Batch windows authenticated through this engine.
         self.windows = 0
-        #: Events committed by the whole-column clean path (successes
-        #: plus clean failures).
+        #: Events a vectorized window decided by whole-column
+        #: operations (everything it did not replay).
         self.vector_committed = 0
-        #: The clean-failure subset of ``vector_committed``.
+        #: The BAD_PASSWORD subset of ``vector_committed``.
         self.vector_failed = 0
         #: Events replayed through ``_attempt_row`` inside a
         #: vectorized window (the rare mask routed them there).
@@ -265,10 +268,8 @@ class BatchLoginEngine:
         #: Events that took the serial path because the window never
         #: vectorized (too small, or a key no account resolves).
         self.fallback_events = 0
-        # Sorted-key caches for the membership probes, valid while the
-        # provider's matching revision counter is unchanged.
-        self._throttle_keys = None
-        self._throttle_rev = -1
+        # Sorted hot-row keys, valid while the provider's hot-set
+        # revision counter is unchanged.
         self._hot_keys = None
         self._hot_rev = -1
         # Reusable scratch for duplicate detection (grown, never shrunk).
@@ -360,21 +361,6 @@ class BatchLoginEngine:
                 pw_ok[i] = batch.password(i) == overrides[int(rows_np[i])]
         return pw_ok
 
-    def _throttle_sorted_keys(self):
-        """The throttle key set as a sorted array, cached per revision."""
-        provider = self._provider
-        rev = provider._throttle_rev
-        if self._throttle_rev != rev:
-            throttles = provider._throttle
-            if throttles:
-                self._throttle_keys = np.sort(
-                    np.fromiter(throttles.keys(), np.int64, len(throttles))
-                )
-            else:
-                self._throttle_keys = _EMPTY_KEYS
-            self._throttle_rev = rev
-        return self._throttle_keys
-
     def _hot_sorted_keys(self):
         """The hot-row key set as a sorted array, cached per revision."""
         provider = self._provider
@@ -415,147 +401,135 @@ class BatchLoginEngine:
         return _in_sorted(sorted_rows[1:][adjacent], rows_np)
 
     def _attempt_vectorized(self, rows_np, pw_ok, batch: LoginBatch, now) -> bytearray:
-        """Columnar fast path: bulk-commit clean events, loop the rest.
+        """Columnar fast path: decide unique rows by columns, replay the rest.
 
         Correctness hinges on two facts the masks establish up front:
-        clean events each own their row exclusively within the batch
-        (the duplicate mask routes shared rows to the serial path), so
-        no rare event can observe or disturb a clean row's state; and
-        clean successes sit strictly below the suspicion threshold even
-        after their one new IP, so no clean event can draw from the
-        RNG (clean failures never touch the IP machinery at all).
-        Rare events run through ``_attempt_row`` in event order,
-        which preserves the draw sequence and every throttle/lockout
-        interleaving exactly as the scalar path would produce them.
+        every vector event owns its row exclusively within the batch
+        (the duplicate mask routes shared rows to the replay), so no
+        other event can observe or disturb its row's state; and vector
+        successes sit strictly below the suspicion threshold even after
+        their one new IP, so no vector event can draw from the RNG
+        (failures never touch the IP machinery at all).  Rare events
+        run through ``_attempt_row`` in event order, which preserves
+        the draw sequence and every throttle/lockout interleaving
+        exactly as the scalar path would produce them.
         """
         provider = self._provider
-        table = provider._table
-        n = len(rows_np)
-        ips_np = batch.ips
         # Transient views over the provider's row-indexed columns.
         # They must all be dropped before anything can resize the
         # underlying buffers (provisioning between batches).
-        states_np = np.frombuffer(table.states, dtype=np.uint8)
+        states = np.frombuffer(provider._table.states, dtype=np.uint8)[rows_np]
+        locked = np.frombuffer(provider._locked_until, dtype=np.uint32)[rows_np] > now
+        results_np = _STATE_RESULTS[states]
+        results_np[locked] = 3  # THROTTLED
+        # Rows that decide on the password: unlocked and ACTIVE.
+        active = ~locked
+        active &= states == 0
+
+        # Successes that may draw from the RNG: hot rows, and (since a
+        # success adds at most one distinct IP) rows one step below the
+        # suspicion threshold.
         distinct_np = np.frombuffer(provider._ip_distinct, dtype=np.uint32)
-        head_np = np.frombuffer(provider._ip_head, dtype=np.int64)
-
-        # Classification, all against batch-start state: gathers over
-        # the columns plus membership probes of the sparse dicts.
-        # Conditions that disqualify *any* event from the clean paths.
-        blocked = states_np[rows_np] != 0
-        rev_at_probe = provider._throttle_rev
-        if provider._throttle:
-            blocked |= _in_sorted(self._throttle_sorted_keys(), rows_np)
-        else:
-            self._throttle_keys = _EMPTY_KEYS
-            self._throttle_rev = rev_at_probe
-        dup_mask = self._duplicate_mask(rows_np, n)
-        if dup_mask is not None:
-            blocked |= dup_mask
-        # Successes additionally must stay out of the RNG-drawing
-        # review: not hot, and (since a clean event adds at most one
-        # distinct IP) not one step below the suspicion threshold.
-        succ_blocked = blocked
+        drawing = distinct_np[rows_np] >= provider.SUSPICION_DISTINCT_IPS - 1
         if provider._ip_hot:
-            succ_blocked = succ_blocked | _in_sorted(
-                self._hot_sorted_keys(), rows_np
-            )
-        near = distinct_np[rows_np] >= provider.SUSPICION_DISTINCT_IPS - 1
-        succ_blocked = succ_blocked | near
+            drawing |= _in_sorted(self._hot_sorted_keys(), rows_np)
+        rare = np.logical_and(drawing, pw_ok, out=drawing)
+        rare &= active
+        dup_mask = self._duplicate_mask(rows_np, len(rows_np))
+        if dup_mask is not None:
+            rare |= dup_mask
+        vector = active & ~rare
 
-        clean_succ = pw_ok & ~succ_blocked
-        if provider.BRUTE_FORCE_LIMIT > 1:
-            clean_fail = ~pw_ok & ~blocked
-            rare = ~(clean_succ | clean_fail)
-        else:  # a single failure locks: route every failure rare
-            clean_fail = None
-            rare = ~clean_succ
-
-        results_np = np.zeros(n, dtype=np.uint8)
-        rare_idx = np.nonzero(rare)[0]
+        rare_idx = np.flatnonzero(rare)
         self.scalar_replayed += int(rare_idx.size)
+        self.vector_committed += len(rows_np) - int(rare_idx.size)
         if rare_idx.size:
             attempt_row = provider._attempt_row
             for i, row, ok, ip_int in zip(
                 rare_idx.tolist(),
                 rows_np[rare_idx].tolist(),
                 pw_ok[rare_idx].tolist(),
-                ips_np[rare_idx].tolist(),
+                batch.ips[rare_idx].tolist(),
             ):
                 results_np[i] = attempt_row(row, ok, ip_int, now)
 
-        if clean_fail is not None and clean_fail.any():
-            self._commit_clean_failures(
-                rows_np, clean_fail, results_np, now, rev_at_probe
+        fail_idx = np.flatnonzero(vector & ~pw_ok)
+        if fail_idx.size:
+            results_np[fail_idx] = 1  # BAD_PASSWORD
+            self._commit_failures(rows_np[fail_idx], now)
+        succ_idx = np.flatnonzero(np.logical_and(vector, pw_ok, out=vector))
+        if succ_idx.size:
+            self._commit_successes(
+                rows_np[succ_idx], batch.ips[succ_idx], distinct_np, now
             )
-
-        clean_idx = np.nonzero(clean_succ)[0]
-        m = clean_idx.size
-        self.vector_committed += int(m)
-        if m:
-            c_rows = rows_np[clean_idx]
-            c_ips = ips_np[clean_idx]
-            # Evidence-log bulk append: one window, one extend per
-            # column, chain threading as a gather + scatter (safe
-            # because clean rows are unique within the batch).
-            base = len(provider._log_times)
-            provider._log_prev.frombytes(head_np[c_rows].tobytes())
-            head_np[c_rows] = np.arange(base, base + m, dtype=np.int64)
-            provider._log_times.frombytes(np.full(m, now, dtype=np.int64).tobytes())
-            provider._log_ips.frombytes(c_ips.tobytes())
-            provider._log_rows.frombytes(c_rows.tobytes())
-            # Distinct bound: compare each event's source against the
-            # row's first-seen IP — whole-column compares and scatters
-            # (safe: clean rows are unique within the batch).
-            first_np = np.frombuffer(provider._ip_first, dtype=np.uint64)
-            firsts = first_np[c_rows]
-            unset = firsts == NO_IP
-            if unset.any():
-                first_np[c_rows[unset]] = c_ips[unset]
-            bump_rows = c_rows[unset | (c_ips != firsts)]
-            if bump_rows.size:
-                distinct_np[bump_rows] += 1
-
         return bytearray(results_np.tobytes())
 
-    def _commit_clean_failures(
-        self, rows_np, clean_fail, results_np, now, rev_at_probe
-    ) -> None:
-        """Bulk-commit the window's clean failures.
+    def _commit_failures(self, f_rows, now) -> None:
+        """Commit failures on unique, unlocked, active rows as columns.
 
-        Each clean-fail row is active, un-throttled and unique in the
-        batch, so the scalar path would have produced exactly one
-        fresh first-failure throttle entry per row (``(1, window
-        start, 0)`` — below ``BRUTE_FORCE_LIMIT``, so no lockout) and
-        returned BAD_PASSWORD.  Throttle entries are immutable, so one
-        shared tuple serves every row and one dict bulk-insert per
-        window lands all of them; the key-set revision advances once,
-        and when no rare event inserted a throttle entry this window
-        the sorted key cache absorbs the new rows by merge instead of
-        a rebuild.
+        :meth:`EmailProvider._note_failure`, whole-column: a row
+        without an entry counts from ``(0, 0, 0)``; a window expired
+        strictly past ``BRUTE_FORCE_WINDOW`` restarts at ``now``; the
+        limit-th failure locks the row until ``now +
+        BRUTE_FORCE_LOCKOUT`` and clears the count.  Instants at or past
+        2**32 raise OverflowError rather than wrap, as the scalar
+        columns do.
         """
         provider = self._provider
-        fail_idx = np.nonzero(clean_fail)[0]
-        count = int(fail_idx.size)
-        self.vector_committed += count
-        self.vector_failed += count
-        results_np[fail_idx] = 1  # BAD_PASSWORD
-        f_rows = rows_np[fail_idx]
-        # _note_failure resets the window start only when the stale
-        # window test passes — replicate its exact arithmetic.
-        window_start = now if now - 0 > provider.BRUTE_FORCE_WINDOW else 0
-        provider._throttle.update(
-            dict.fromkeys(f_rows.tolist(), (1, window_start, 0))
-        )
-        prev_rev = provider._throttle_rev
-        provider._throttle_rev = prev_rev + 1
-        if prev_rev == rev_at_probe and self._throttle_keys is not None:
-            new_keys = np.sort(f_rows)
-            keys = self._throttle_keys
-            self._throttle_keys = np.insert(
-                keys, np.searchsorted(keys, new_keys), new_keys
-            )
-            self._throttle_rev = prev_rev + 1
+        limit = provider.BRUTE_FORCE_LIMIT
+        if limit > NO_ENTRY:
+            raise ValueError(f"BRUTE_FORCE_LIMIT may not exceed {NO_ENTRY}")
+        self.vector_failed += int(f_rows.size)
+        fails_np = np.frombuffer(provider._fail_count, dtype=np.uint8)
+        starts_np = np.frombuffer(provider._window_start, dtype=np.uint32)
+        failures = fails_np[f_rows]
+        failures[failures == NO_ENTRY] = 0
+        window_start = starts_np[f_rows]
+        fresh = window_start < now - provider.BRUTE_FORCE_WINDOW
+        if fresh.any():
+            window_start[fresh] = now
+            failures[fresh] = 0
+        failures += 1
+        lock = failures >= limit
+        if lock.any():
+            until_np = np.frombuffer(provider._locked_until, dtype=np.uint32)
+            until_np[f_rows[lock]] = now + provider.BRUTE_FORCE_LOCKOUT
+            failures[lock] = 0
+        fails_np[f_rows] = failures
+        starts_np[f_rows] = window_start
+
+    def _commit_successes(self, c_rows, c_ips, distinct_np, now) -> None:
+        """Commit successes on unique, active rows that cannot draw.
+
+        Each clears its row's failure count (if it holds an entry) and
+        appends one evidence-log entry; the cached distinct bound bumps
+        when the source differs from the row's first-seen IP, which a
+        never-seen row adopts.  Gathers and scatters are safe because
+        the rows are unique within the batch.
+        """
+        provider = self._provider
+        m = c_rows.size
+        fails_np = np.frombuffer(provider._fail_count, dtype=np.uint8)
+        held = c_rows[fails_np[c_rows] != NO_ENTRY]
+        if held.size:
+            fails_np[held] = 0
+        # Evidence-log bulk append: one window, one extend per column,
+        # chain threading as a gather + scatter.
+        head_np = np.frombuffer(provider._ip_head, dtype=np.int64)
+        base = len(provider._log_times)
+        provider._log_prev.frombytes(head_np[c_rows].tobytes())
+        head_np[c_rows] = np.arange(base, base + m, dtype=np.int64)
+        provider._log_times.frombytes(np.full(m, now, dtype=np.int64).tobytes())
+        provider._log_ips.frombytes(c_ips.tobytes())
+        provider._log_rows.frombytes(c_rows.tobytes())
+        first_np = np.frombuffer(provider._ip_first, dtype=np.uint64)
+        firsts = first_np[c_rows]
+        unset = firsts == NO_IP
+        if unset.any():
+            first_np[c_rows[unset]] = c_ips[unset]
+        bump_rows = c_rows[unset | (c_ips != firsts)]
+        if bump_rows.size:
+            distinct_np[bump_rows] += 1
 
     def _record_window(self, rows_np, batch: LoginBatch, results: bytearray, now) -> None:
         """One bulk telemetry append for the window's successes.

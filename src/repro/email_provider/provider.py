@@ -15,12 +15,14 @@ Scale notes (the heavy-traffic front-end)
 Accounts live in a columnar :class:`~repro.email_provider.accounts.
 AccountTable` so the provider can hold the benign population Tripwire's
 accounts hide among — millions of mailboxes, not 27.  Per-login state
-is sparse and incremental:
+is compact and incremental:
 
-- brute-force throttling keeps one immutable ``(failures,
-  window_start, locked_until)`` tuple per row *that has ever failed*,
-  nothing for the quiet majority; an update replaces the row's tuple,
-  so one shared tuple can stand for many rows;
+- brute-force throttling keeps three row-indexed columns, 9 bytes a
+  row: a uint8 failure count whose :data:`NO_ENTRY` code marks the
+  quiet majority that holds no throttle entry, and two uint32
+  instants (window start, lockout end) that are 0 for those rows, so
+  a batch engine reads and writes whole windows of rows as gathers
+  and scatters;
 - the suspicious-IP review splits rows into **cold** and **hot**.
   Cold rows (virtually everyone) append ``(time, ip, row)`` to one
   shared columnar evidence log threaded by a per-row chain index, and
@@ -38,10 +40,10 @@ is sparse and incremental:
   maintained incrementally from then on — amortized O(1) per login.
   Promotion cannot change a decision: the bound only ever
   overestimates, and the review consults the exact count;
-- :meth:`evict_expired` prunes hot windows, demotes fully-expired
-  hot rows and compacts expired entries out of the shared log, so a
-  multi-year ``repro serve`` run holds state proportional to
-  *recently active* accounts only.
+- :meth:`evict_expired` drops spent throttle entries, prunes hot
+  windows, demotes fully-expired hot rows and compacts expired
+  entries out of the shared log, so a multi-year ``repro serve`` run
+  holds state proportional to *recently active* accounts only.
 
 :meth:`attempt_login` is the scalar path; the vectorized batch path
 over the same columns lives in :mod:`repro.email_provider.batch` and
@@ -108,6 +110,22 @@ STATE_RESULT_CODES: tuple[int, ...] = (
 #: it can never compare equal to a real source address.
 NO_IP = 1 << 40
 
+#: Failure-count code of a row that holds no throttle entry (never
+#: failed, or evicted).  Stored counts stay below ``BRUTE_FORCE_LIMIT``,
+#: which therefore may not exceed this code.
+NO_ENTRY = 0xFF
+
+#: The row-indexed login-state columns and the value a new row starts
+#: with.
+_LOGIN_STATE_FILL = (
+    ("_ip_head", -1),
+    ("_ip_distinct", 0),
+    ("_ip_first", NO_IP),
+    ("_fail_count", NO_ENTRY),
+    ("_window_start", 0),
+    ("_locked_until", 0),
+)
+
 
 class EmailProvider:
     """A major email provider with hundreds of millions of accounts.
@@ -153,16 +171,20 @@ class EmailProvider:
         self.telemetry = LoginTelemetry(
             retention_days=retention_days, obs=obs, accounts=self._table
         )
-        #: Sparse throttle state: row -> (failures, window_start,
-        #: locked_until), replaced whole on every update.  Only rows
-        #: with failure history appear here.
-        self._throttle: dict[int, tuple[int, int, int]] = {}
-        #: Key-set revision counters: bumped whenever rows are added
-        #: to or removed from ``_throttle`` / ``_ip_hot`` (value
-        #: mutation doesn't count).  The batch engine keys its sorted
-        #: membership-probe arrays on these so unchanged key sets are
-        #: probed without a rebuild.
-        self._throttle_rev = 0
+        #: Per-row throttle entry: failures in the current window
+        #: (:data:`NO_ENTRY` for rows without an entry), the window's
+        #: start and the lockout's end.  Rows without an entry hold
+        #: ``(NO_ENTRY, 0, 0)``, which the failure arithmetic reads as
+        #: ``(0, 0, 0)``.  The instants are uint32: writing one at or
+        #: past 2**32 raises instead of wrapping.
+        self._fail_count = array("B")
+        self._window_start = array("I")
+        self._locked_until = array("I")
+        #: Hot-row key-set revision counter: bumped whenever rows are
+        #: added to or removed from ``_ip_hot`` (value mutation doesn't
+        #: count).  The batch engine keys its sorted membership-probe
+        #: array on it so an unchanged key set is probed without a
+        #: rebuild.
         self._hot_rev = 0
         #: Shared columnar login-evidence log for **cold** rows: one
         #: append per successful login, parallel columns, chained per
@@ -252,10 +274,23 @@ class EmailProvider:
         return first_row
 
     def _grow_login_state(self, count: int) -> None:
-        """Extend the row-indexed login-state columns for new rows."""
-        self._ip_head.extend(array("q", [-1]) * count)
-        self._ip_distinct.frombytes(bytes(4 * count))
-        self._ip_first.extend(array("Q", [NO_IP]) * count)
+        """Extend the row-indexed login-state columns for new rows.
+
+        A provisioned account appends one row.  The benign block,
+        registered once, builds each column whole and copies the old
+        rows in, writing the new memory once; extending would write it
+        twice (a filled temporary, then the copy), which at 10^6 rows
+        costs about 10 ms more.
+        """
+        for name, fill in _LOGIN_STATE_FILL:
+            column = getattr(self, name)
+            if count == 1:
+                column.append(fill)
+            else:
+                size = len(column)
+                grown = array(column.typecode, [fill]) * (size + count)
+                grown[:size] = column
+                setattr(self, name, grown)
 
     def account(self, local_part: str) -> ProviderAccount | None:
         """Fetch a live account view (None if absent)."""
@@ -273,21 +308,23 @@ class EmailProvider:
     # -- live telemetry ------------------------------------------------------
 
     def login_state_sizes(self, now: SimInstant | None = None) -> dict:
-        """Sparse login-state table sizes (flight snapshots).
+        """Login-state table sizes (flight snapshots).
 
-        All sim-derived: the throttle map, hot-row set and evidence
-        log are shaped by which logins occurred, never by which engine
-        or executor ran them, so these sizes are safe inside
-        executor-invariant snapshot bytes.
+        All sim-derived: the throttle entries, hot-row set and
+        evidence log are shaped by which logins occurred, never by
+        which engine or executor ran them, so these sizes are safe
+        inside executor-invariant snapshot bytes.  The throttle counts
+        are masks over the columns (rows without an entry hold a zero
+        lockout, so they are never locked).
         """
         if now is None:
             now = self._clock.now()
+        fails = np.frombuffer(self._fail_count, dtype=np.uint8)
+        locked_until = np.frombuffer(self._locked_until, dtype=np.uint32)
         return {
             "accounts": len(self._table),
-            "throttle_rows": len(self._throttle),
-            "locked_rows": sum(
-                1 for entry in self._throttle.values() if now < entry[2]
-            ),
+            "throttle_rows": int(np.count_nonzero(fails != NO_ENTRY)),
+            "locked_rows": int(np.count_nonzero(locked_until > now)),
             "hot_rows": len(self._ip_hot),
             "evidence_log": len(self._log_times),
             "ip_window_pruned": self.ip_window_pruned,
@@ -376,9 +413,10 @@ class EmailProvider:
         and runs :meth:`_attempt_row` — the per-row decision core every
         engine shares — then records telemetry for the success.  The
         vectorized engine (:meth:`attempt_logins`) makes these exact
-        decisions over whole batches, routing anything non-trivial
-        back through the same :meth:`_attempt_row`, and the
-        equivalence tests hold the paths in lockstep.
+        decisions over whole batches, routing repeated rows and
+        RNG-drawing successes back through the same
+        :meth:`_attempt_row`, and the equivalence tests hold the paths
+        in lockstep.
         """
         now = self._clock.now()
         table = self._table
@@ -414,8 +452,7 @@ class EmailProvider:
         cannot drift.  Telemetry is the caller's job (the batch engine
         records a whole window at once).
         """
-        throttle = self._throttle.get(row)
-        if throttle is not None and now < throttle[2]:
+        if now < self._locked_until[row]:
             return 3  # THROTTLED
         state = self._table.states[row]
         if state:
@@ -423,27 +460,33 @@ class EmailProvider:
         if not pw_ok:
             self._note_failure(row, now)
             return 1  # BAD_PASSWORD
-        if throttle is not None:
-            self._throttle[row] = (0, throttle[1], throttle[2])
+        if self._fail_count[row] != NO_ENTRY:
+            self._fail_count[row] = 0  # a success clears the count
         self._note_ip(row, now, ip_int)
         self._review_after_login(row, now)
         return 0  # SUCCESS
 
     def _note_failure(self, row: int, now: int) -> None:
-        throttle = self._throttle.get(row)
-        if throttle is None:
-            failures = window_start = locked_until = 0
-            self._throttle_rev += 1
-        else:
-            failures, window_start, locked_until = throttle
+        """Count one failed attempt; the limit-th inside a window locks.
+
+        A window expires strictly *past* ``BRUTE_FORCE_WINDOW``; a row
+        without an entry counts from ``(0, 0, 0)``.
+        """
+        failures = self._fail_count[row]
+        if failures == NO_ENTRY:
+            failures = 0
+        window_start = self._window_start[row]
         if now - window_start > self.BRUTE_FORCE_WINDOW:
             window_start = now
             failures = 0
         failures += 1
         if failures >= self.BRUTE_FORCE_LIMIT:
-            locked_until = now + self.BRUTE_FORCE_LOCKOUT
+            self._locked_until[row] = now + self.BRUTE_FORCE_LOCKOUT
             failures = 0
-        self._throttle[row] = (failures, window_start, locked_until)
+        elif failures == NO_ENTRY:
+            raise ValueError(f"BRUTE_FORCE_LIMIT may not exceed {NO_ENTRY}")
+        self._fail_count[row] = failures
+        self._window_start[row] = window_start
 
     def _note_ip(self, row: int, now: int, ip_int: int) -> None:
         """Record one successful login's source IP for the row.
@@ -551,39 +594,32 @@ class EmailProvider:
     def evict_expired(self, now: SimInstant | None = None) -> tuple[int, int]:
         """Drop per-login state whose windows have fully expired.
 
-        The batch-window review's memory bound: a throttle entry is
+        The batch-window review's memory bound.  A throttle entry is
         removable once its lockout has passed *and* its failure window
-        can no longer influence a decision (no failures, or the window
-        expired — the next failure would reset it anyway).  Hot rows
-        are pruned and, once every entry has aged out, demoted back to
-        cold; the shared log is compacted when its oldest entry has
-        expired, dropping tombstones and expired entries and
-        recounting the cached bounds from what remains.  Eviction is
-        decision-invariant — evicted state is indistinguishable from
-        never-created state — so either login engine may run it on any
-        cadence without moving a byte of output.  Returns
-        ``(throttle_evicted, window_evicted)`` where the second counts
-        demoted hot rows plus expired log entries.
+        has expired: the next failure would start a fresh window from
+        no entry too.  (An entry with no failures but an open window
+        still fixes where the next failure's window starts.)  Hot rows
+        are pruned and, once every entry has aged out, demoted; the
+        shared log is compacted when its oldest entry has expired,
+        dropping tombstones and expired entries and recounting the
+        cached bounds from what remains.  A row left with no IP entry
+        returns to the never-seen state, its first-seen IP cleared.
+        Eviction is decision-invariant — evicted state is
+        indistinguishable from never-created state — so either login
+        engine may run it on any cadence without moving a byte of
+        output.  Returns ``(throttle_evicted, window_evicted)`` where
+        the second counts demoted hot rows plus expired log entries.
         """
         if now is None:
             now = self._clock.now()
-        brute_window = self.BRUTE_FORCE_WINDOW
-        stale = [
-            row
-            for row, (failures, window_start, locked_until) in self._throttle.items()
-            if locked_until <= now
-            and (failures == 0 or now - window_start > brute_window)
-        ]
-        for row in stale:
-            del self._throttle[row]
-        if stale:
-            self._throttle_rev += 1
-        self.throttle_evictions += len(stale)
+        throttle_evicted = self._evict_throttle(now)
+        self.throttle_evictions += throttle_evicted
 
         cutoff = now - self.SUSPICION_WINDOW
         packed_cutoff = cutoff << 32
         hot = self._ip_hot
         distinct = self._ip_distinct
+        first = self._ip_first
         empty = []
         pruned = 0
         for row, (window, counts) in hot.items():
@@ -602,6 +638,7 @@ class EmailProvider:
         for row in empty:
             del hot[row]
             distinct[row] = 0
+            first[row] = NO_IP
         if empty:
             self._hot_rev += 1
         if pruned:
@@ -612,20 +649,43 @@ class EmailProvider:
         if times and times[0] < cutoff:
             window_evicted += self._compact_log(cutoff)
         self.ip_window_evictions += window_evicted
-        return len(stale), window_evicted
+        return throttle_evicted, window_evicted
+
+    def _evict_throttle(self, now: int) -> int:
+        """Reset spent throttle entries to no entry; returns how many.
+
+        One mask over the failure-count column finds the rows holding
+        an entry; gathers over those rows pick the spent ones.
+        """
+        fails = np.frombuffer(self._fail_count, dtype=np.uint8)
+        held = np.flatnonzero(fails != NO_ENTRY)
+        if not held.size:
+            return 0
+        starts = np.frombuffer(self._window_start, dtype=np.uint32)
+        locked_until = np.frombuffer(self._locked_until, dtype=np.uint32)
+        stale = held[
+            (locked_until[held] <= now)
+            & (starts[held] < now - self.BRUTE_FORCE_WINDOW)
+        ]
+        fails[stale] = NO_ENTRY
+        starts[stale] = 0
+        locked_until[stale] = 0
+        return int(stale.size)
 
     def _compact_log(self, cutoff: int) -> int:
         """Compact the shared log in place, without tombstones or expired entries.
 
         Returns the number of *live* expired entries dropped.  Every
         cold row touched by the log gets its cached bound *recounted*
-        from the entries that survive: one credit if any kept entry
-        came from the row's first-seen IP, plus one per kept entry
-        from anywhere else — the same rule the incremental bump
-        applies, so the bound stays an overestimate of the windowed
-        distinct count and the two engines agree byte-for-byte.  The
-        columns shrink only once every numpy view over them is gone:
-        an ``array`` that exports its buffer cannot resize.
+        from the entries that survive: one credit for the row's
+        first-seen IP, plus one per kept entry from anywhere else — the
+        rule the incremental bump applies, under which a later login
+        from the first-seen IP adds nothing, so the bound stays an
+        overestimate of the windowed distinct count.  A row with no
+        survivor returns to the never-seen state (no chain, zero bound,
+        no first-seen IP).  The columns shrink only once every numpy
+        view over them is gone: an ``array`` that exports its buffer
+        cannot resize.
         """
         kept, dropped = self._compact_log_columns(cutoff)
         for column in (self._log_times, self._log_ips, self._log_rows, self._log_prev):
@@ -652,13 +712,7 @@ class EmailProvider:
         firsts = np.frombuffer(self._ip_first, dtype=np.uint64)
         live = rows >= 0
         fresh = times >= cutoff
-        # A row that loses entries starts over; one with survivors is
-        # rewritten below.
         expired = rows[live & ~fresh]
-        head[expired] = -1
-        distinct[expired] = 0
-        dropped = expired.size
-        del expired
         keep = np.logical_and(live, fresh, out=live)
         del fresh
         kept = int(np.count_nonzero(keep))
@@ -666,10 +720,21 @@ class EmailProvider:
         ips[:kept] = ips[keep]
         rows[:kept] = rows[keep]
         del keep
+        ips, rows = ips[:kept], rows[:kept]
+        # A row that loses entries starts over as never seen; one with
+        # survivors keeps its first-seen IP (gathered before the reset,
+        # restored after it) and is rewritten below.
+        kept_firsts = firsts[rows]
+        head[expired] = -1
+        distinct[expired] = 0
+        firsts[expired] = NO_IP
+        dropped = expired.size
+        del expired
         if not kept:
             return 0, dropped
-        ips, rows = ips[:kept], rows[:kept]
-        away = ips != firsts[rows]
+        firsts[rows] = kept_firsts
+        away = ips != kept_firsts
+        del kept_firsts
         order = np.argsort(rows, kind="stable")
         by_row = rows[order]
         starts = np.flatnonzero(
@@ -685,9 +750,7 @@ class EmailProvider:
         head[group_rows] = order[np.append(starts[1:], kept) - 1]
         away = away[order]
         del order
-        distinct[group_rows] = np.add.reduceat(
-            away, starts, dtype=np.uint32
-        ) + np.logical_or.reduceat(~away, starts)
+        distinct[group_rows] = np.add.reduceat(away, starts, dtype=np.uint32) + 1
         return kept, dropped
 
     def login_window_snapshot(self) -> dict[int, dict]:
@@ -721,6 +784,20 @@ class EmailProvider:
                 "distinct": self._ip_distinct[row],
             }
         return out
+
+    def throttle_snapshot(self) -> dict[int, tuple[int, int, int]]:
+        """Canonical view of the throttle entries (tests/bench): row ->
+        ``(failures, window_start, locked_until)`` for every row that
+        holds an entry."""
+        fails = self._fail_count
+        starts = self._window_start
+        locked_until = self._locked_until
+        return {
+            row: (fails[row], starts[row], locked_until[row])
+            for row in np.flatnonzero(
+                np.frombuffer(fails, dtype=np.uint8) != NO_ENTRY
+            ).tolist()
+        }
 
     # -- authenticated account actions (used by attackers) -------------------
 

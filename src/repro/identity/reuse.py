@@ -103,6 +103,32 @@ def _mix64(x: int) -> int:
     return x
 
 
+_SHIFT30 = np.uint64(30)
+_SHIFT27 = np.uint64(27)
+_SHIFT31 = np.uint64(31)
+_MUL1_NP = np.uint64(_SM_MUL1)
+_MUL2_NP = np.uint64(_SM_MUL2)
+
+#: Users per block of the membership scan: its two uint64 buffers
+#: (256 KiB each) stay in a core's L2 cache, where running each numpy
+#: operation over the whole 10^6-row column streams through memory.
+_MEMBER_BLOCK = 1 << 15
+
+
+def _mix64_np(x, scratch):
+    """:func:`_mix64` after its gamma add, in place over a uint64
+    column; ``scratch`` is a uint64 buffer of the same length."""
+    np.right_shift(x, _SHIFT30, out=scratch)
+    x ^= scratch
+    x *= _MUL1_NP
+    np.right_shift(x, _SHIFT27, out=scratch)
+    x ^= scratch
+    x *= _MUL2_NP
+    np.right_shift(x, _SHIFT31, out=scratch)
+    x ^= scratch
+    return x
+
+
 def _threshold(rate: float) -> int:
     """A probability as an integer threshold over the full 64-bit range."""
     if rate <= 0.0:
@@ -214,18 +240,16 @@ class CrossSiteReuseModel:
 
     # -- columnar lanes (bit-identical to the scalar forms) -----------------
 
+    def _lane_base(self, salt: int, site_rank: int) -> int:
+        """The user-independent part of a lane's pre-mix sum (gamma
+        included): lane ``(user, site)`` mixes ``base + user *
+        _USER_MUL`` modulo 2**64."""
+        return ((self.key ^ salt) + site_rank * _SITE_MUL + _SM_GAMMA) & _MASK64
+
     def _lane_np(self, salt: int, users, site_rank: int):
-        v = np.uint64((self.key ^ salt) & _MASK64)
-        with np.errstate(over="ignore"):
-            x = users.astype(np.uint64) * np.uint64(_USER_MUL)
-            x += v + np.uint64((site_rank * _SITE_MUL) & _MASK64)
-            x += np.uint64(_SM_GAMMA)
-            x ^= x >> np.uint64(30)
-            x *= np.uint64(_SM_MUL1)
-            x ^= x >> np.uint64(27)
-            x *= np.uint64(_SM_MUL2)
-            x ^= x >> np.uint64(31)
-        return x
+        x = users.astype(np.uint64) * np.uint64(_USER_MUL)
+        x += np.uint64(self._lane_base(salt, site_rank))
+        return _mix64_np(x, np.empty_like(x))
 
     def _behavior_codes(self, users_np):
         """:class:`ReuseClass` codes for an int64 user column (uint8)."""
@@ -258,13 +282,34 @@ class CrossSiteReuseModel:
         """Sorted user indices (``array('q')``) with accounts at a site.
 
         Pure per (user, site): ``members(rank, n)`` is always a prefix
-        of ``members(rank, n′)`` for ``n′ ≥ n``.
+        of ``members(rank, n′)`` for ``n′ ≥ n``.  The lane runs over
+        blocks of :data:`_MEMBER_BLOCK` users in reused buffers; a
+        block's lanes are ``base + (start + j) * _USER_MUL``, one add of
+        a per-block constant to a precomputed ``j * _USER_MUL`` column.
         """
         out = array("q")
         if population <= 0:
             return out
-        users_np = np.arange(population, dtype=np.int64)
-        out.frombytes(users_np[self.member_mask(users_np, site_rank)].tobytes())
+        if self._t_member > _MASK64:
+            out.frombytes(np.arange(population, dtype=np.int64).tobytes())
+            return out
+        threshold = np.uint64(self._t_member)
+        base = self._lane_base(_MEMBER_SALT, site_rank)
+        size = min(population, _MEMBER_BLOCK)
+        steps = np.arange(size, dtype=np.uint64) * np.uint64(_USER_MUL)
+        lanes = np.empty(size, dtype=np.uint64)
+        scratch = np.empty(size, dtype=np.uint64)
+        hits = np.empty(size, dtype=np.bool_)
+        for start in range(0, population, size):
+            k = min(size, population - start)
+            x = np.add(
+                steps[:k], np.uint64((base + start * _USER_MUL) & _MASK64),
+                out=lanes[:k],
+            )
+            _mix64_np(x, scratch[:k])
+            idx = np.flatnonzero(np.less(x, threshold, out=hits[:k]))
+            idx += start
+            out.frombytes(idx.tobytes())
         return out
 
     def derive_suffixes(self, users, site_rank: int):

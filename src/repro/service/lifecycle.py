@@ -268,8 +268,9 @@ class AccountLifecycle:
         # Batch-review housekeeping rides the ingestion cadence: drop
         # throttle/IP-window state whose horizons have fully expired.
         # Decision-invariant — without it a multi-year daemon's
-        # per-login state grows with every account that ever failed a
-        # password.
+        # evidence log and hot set grow with every account that ever
+        # logged in, and its throttle entries with every account that
+        # ever failed a password.
         evicted_throttle, evicted_windows = self.system.provider.evict_expired()
         self.stats.state_evictions += evicted_throttle + evicted_windows
 
@@ -332,10 +333,12 @@ class AccountLifecycle:
         host = self.system.population.spec_at_rank(rank).host
 
         provider = self.system.provider
-        # Housekeeping before the wave: throttle entries left by the
-        # previous wave's failures (waves are spaced past the brute-
-        # force window and lockout) would otherwise route every repeat
-        # candidate through the scalar replay path.  Decision-invariant.
+        # Housekeeping before the wave: drop the throttle entries the
+        # previous wave's failures left (waves are spaced past the
+        # brute-force window and lockout), so ``throttle_rows`` — which
+        # the health rule and the flight snapshots read — counts this
+        # wave's failures, not every account ever stuffed.  Decision-
+        # invariant.
         evicted_throttle, evicted_windows = provider.evict_expired()
         self.stats.state_evictions += evicted_throttle + evicted_windows
 

@@ -52,7 +52,7 @@ def world_state(provider):
     return {
         "telemetry": provider.telemetry.columns(),
         "states": bytes(provider._table.states),
-        "throttle": dict(provider._throttle),
+        "throttle": provider.throttle_snapshot(),
         "windows": provider.login_window_snapshot(),
         "first_ips": bytes(provider._ip_first),
     }
@@ -248,7 +248,7 @@ class TestDispatchEquivalence:
         assert world_state(provider_b) == world_state(provider_s)
         assert result_b == result_s
         # The wave is failure-heavy, and its failures took the
-        # clean-failure vector commit, not the scalar loop.
+        # vector failure commit, not the scalar loop.
         assert result_b.bad_passwords > result_b.successes
         stats = provider_b.batch_engine_stats()
         assert stats["vector_committed"] > 0

@@ -10,7 +10,7 @@ from repro.email_provider.accounts import (
     benign_password,
 )
 from repro.email_provider.batch import LoginBatch
-from repro.email_provider.provider import EmailProvider, LoginResult
+from repro.email_provider.provider import NO_IP, EmailProvider, LoginResult
 from repro.email_provider.telemetry import LoginMethod
 from repro.mail.messages import EmailMessage
 from repro.net.ipaddr import IPv4Address
@@ -216,10 +216,11 @@ class TestLoginWindowMachinery:
         throttle_evicted, window_evicted = provider.evict_expired()
         assert throttle_evicted == 1
         assert window_evicted == 1
-        assert provider._throttle == {}
+        assert provider.throttle_snapshot() == {}
         assert provider.login_window_snapshot() == {}
         row = provider._table._index["alphauser01"]
         assert provider._ip_distinct[row] == 0
+        assert provider._ip_first[row] == NO_IP  # back to never seen
 
     def test_compaction_recounts_surviving_bounds(self, provider):
         clock = provider._clock
@@ -253,6 +254,43 @@ class TestLoginWindowMachinery:
         assert row not in provider._ip_hot
         assert provider._ip_distinct[row] == 0
         assert window_evicted >= 1
+
+    def test_eviction_keeps_an_open_failure_window(self, provider):
+        """An entry whose count a success cleared still fixes where the
+        next failure's window starts while that window is open."""
+        clock = provider._clock
+        minute = 60
+        for _ in range(5):
+            provider.attempt_login("AlphaUser01", "wrong", IP, LoginMethod.IMAP)
+        clock.advance(10 * minute)
+        provider.attempt_login("AlphaUser01", "Secret1234", IP, LoginMethod.IMAP)
+        clock.advance(10 * minute)
+        assert provider.evict_expired()[0] == 0
+        clock.advance(10 * minute)
+        for _ in range(9):
+            provider.attempt_login("AlphaUser01", "wrong", IP, LoginMethod.IMAP)
+        clock.advance(40 * minute)
+        # Past the first window: this failure starts a new one.
+        provider.attempt_login("AlphaUser01", "wrong", IP, LoginMethod.IMAP)
+        assert (
+            provider.attempt_login("AlphaUser01", "Secret1234", IP, LoginMethod.IMAP)
+            is LoginResult.SUCCESS
+        )
+
+    def test_eviction_clears_the_first_seen_ip(self, provider):
+        """A row compacted down to no entries is never seen again: its
+        next login sets the first-seen IP and bumps the bound."""
+        provider.SUSPICION_DISTINCT_IPS = 3
+        provider.SUSPICION_WINDOW = 60
+        ips = [IPv4Address(0x19000000 + i) for i in range(3)]
+        provider.attempt_login("AlphaUser01", "Secret1234", ips[0], LoginMethod.IMAP)
+        provider._clock.advance(61)
+        provider.evict_expired()
+        row = provider._table._index["alphauser01"]
+        assert provider._ip_first[row] == NO_IP
+        for ip in ips:
+            provider.attempt_login("AlphaUser01", "Secret1234", ip, LoginMethod.IMAP)
+        assert provider.ip_window_promotions == 1
 
     def test_eviction_never_changes_decisions(self, provider):
         """Evicted state is indistinguishable from never-created state."""
@@ -506,6 +544,83 @@ if HAVE_HYPOTHESIS:
         max_size=150,
     )
 
+    class TestEvictionInvariance:
+        """One op stream run twice, once with ``evict_expired()`` at
+        random instants: result codes, telemetry and the provider RNG's
+        next draw must agree, because evicted state is never-created
+        state.
+
+        Two op alphabets: failure-heavy streams on one row reach
+        success-cleared throttle entries and their open windows;
+        success-only streams over two rows and three source IPs reach
+        compactions, promotions and demotions.
+        """
+
+        def make_provider(self):
+            provider = EmailProvider("inv.example", SimClock(1_000_000), RngTree(7))
+            provider.SUSPICION_DISTINCT_IPS = 3
+            provider.SUSPICION_WINDOW = 60
+            provider.BRUTE_FORCE_LIMIT = 2
+            provider.BRUTE_FORCE_WINDOW = 30
+            provider.BRUTE_FORCE_LOCKOUT = 50
+            provider.FREEZE_PROBABILITY = 0.2
+            for i in range(2):
+                assert provider.provision(f"inv.user{i:02d}", "P", f"Pw!{i:02d}xyz").created
+            return provider
+
+        #: Ops are (success, row, source-IP index, clock step, evict
+        #: first); the evicting run evicts before three ops in four.
+        _MOSTLY = st.sampled_from((True, True, True, False))
+        _THROTTLE_OPS = st.lists(
+            st.tuples(
+                st.sampled_from((True, False, False)),
+                st.just(0),
+                st.just(0),
+                st.sampled_from((0, 1, 10, 20, 31, 51)),
+                _MOSTLY,
+            ),
+            min_size=20,
+            max_size=40,
+        )
+        _WINDOW_OPS = st.lists(
+            st.tuples(
+                st.just(True),
+                st.sampled_from((0, 0, 0, 1)),
+                st.integers(0, 2),
+                st.sampled_from((0, 1, 10, 31, 61)),
+                _MOSTLY,
+            ),
+            min_size=20,
+            max_size=50,
+        )
+
+        def run_twice(self, ops):
+            runs = []
+            for evicting in (False, True):
+                provider = self.make_provider()
+                codes = []
+                for success, row, ip, step, evict in ops:
+                    provider._clock.advance(step)
+                    if evicting and evict:
+                        provider.evict_expired()
+                    password = f"Pw!{row:02d}xyz" if success else "wrong"
+                    codes.append(provider.attempt_login(
+                        f"inv.user{row:02d}", password,
+                        IPv4Address(0x19000000 + ip), LoginMethod.IMAP,
+                    ))
+                runs.append((codes, provider.telemetry.columns(), provider._rng.random()))
+            assert runs[0] == runs[1]
+
+        @settings(max_examples=100, deadline=None)
+        @given(ops=_THROTTLE_OPS)
+        def test_eviction_never_moves_a_throttle_decision(self, ops):
+            self.run_twice(ops)
+
+        @settings(max_examples=100, deadline=None)
+        @given(ops=_WINDOW_OPS)
+        def test_eviction_never_moves_a_review(self, ops):
+            self.run_twice(ops)
+
     class TestCompactionProperty:
         """Eviction against the spec, from the pre-eviction state.
 
@@ -529,22 +644,33 @@ if HAVE_HYPOTHESIS:
 
         @staticmethod
         def expected_eviction(provider, now):
-            """(throttle, windows, distinct, log length, counts) the spec gives."""
+            """(throttle, windows, distinct, first IPs, log length, counts)
+            the spec gives.
+
+            A throttle entry goes once its lockout has passed and its
+            window has expired.  A row left with no IP entry returns to
+            never seen (zero bound, no first-seen IP); a cold row with
+            survivors keeps its first-seen IP and one credit for it,
+            plus one per surviving entry from elsewhere.
+            """
             cutoff = now - provider.SUSPICION_WINDOW
             window = provider.BRUTE_FORCE_WINDOW
+            before = provider.throttle_snapshot()
             throttle = {
                 row: entry
-                for row, entry in provider._throttle.items()
-                if not (entry[2] <= now and (entry[0] == 0 or now - entry[1] > window))
+                for row, entry in before.items()
+                if not (entry[2] <= now and now - entry[1] > window)
             }
             compacting = len(provider._log_times) and provider._log_times[0] < cutoff
             windows = {}
             distinct = list(provider._ip_distinct)
+            firsts = list(provider._ip_first)
             window_evicted = 0
             for row, snap in provider.login_window_snapshot().items():
                 if snap["hot"]:
                     if snap["entries"][-1][0] < cutoff:  # fully expired: demoted
                         distinct[row] = 0
+                        firsts[row] = NO_IP
                         window_evicted += 1
                     else:
                         windows[row] = snap
@@ -554,18 +680,18 @@ if HAVE_HYPOTHESIS:
                     continue
                 kept = [(t, ip) for t, ip in snap["entries"] if t >= cutoff]
                 window_evicted += len(snap["entries"]) - len(kept)
-                first = provider._ip_first[row]
-                distinct[row] = sum(ip != first for _, ip in kept) + any(
-                    ip == first for _, ip in kept
-                )
                 if kept:
+                    distinct[row] = 1 + sum(ip != firsts[row] for _, ip in kept)
                     windows[row] = {"hot": False, "entries": kept, "distinct": distinct[row]}
-            counts = (len(provider._throttle) - len(throttle), window_evicted)
+                else:
+                    distinct[row] = 0
+                    firsts[row] = NO_IP
+            counts = (len(before) - len(throttle), window_evicted)
             # Compaction also reclaims the tombstones promotion left.
             log_length = len(provider._log_times)
             if compacting:
                 log_length = sum(len(w["entries"]) for w in windows.values() if not w["hot"])
-            return throttle, windows, distinct, log_length, counts
+            return throttle, windows, distinct, firsts, log_length, counts
 
         @settings(max_examples=60, deadline=None)
         @given(ops=_OPS)
@@ -582,13 +708,14 @@ if HAVE_HYPOTHESIS:
                     provider.attempt_login(local, "wrong", source, LoginMethod.IMAP)
                 else:
                     now = clock.now()
-                    throttle, windows, distinct, log_length, counts = (
+                    throttle, windows, distinct, firsts, log_length, counts = (
                         self.expected_eviction(provider, now)
                     )
                     assert provider.evict_expired() == counts
-                    assert provider._throttle == throttle
+                    assert provider.throttle_snapshot() == throttle
                     assert provider.login_window_snapshot() == windows
                     assert list(provider._ip_distinct) == distinct
+                    assert list(provider._ip_first) == firsts
                     assert len(provider._log_times) == log_length
             # A vectorized batch appends to every log column: no numpy
             # view left over from compaction may pin their buffers.

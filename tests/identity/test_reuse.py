@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.identity.reuse import CrossSiteReuseModel, ReuseClass
+from repro.identity.reuse import _MEMBER_BLOCK, CrossSiteReuseModel, ReuseClass
 from repro.email_provider.accounts import benign_password
 from repro.util.rngtree import RngTree
 
@@ -88,11 +88,17 @@ class TestScalarLanes:
 
 class TestColumnarParity:
     def test_members_match_scalar_membership(self):
+        """Within one scan block and across two block boundaries."""
         model = make_model()
-        members = model.members(9, 4000)
-        assert list(members) == [
-            u for u in range(4000) if model.has_account(u, 9)
-        ]
+        for population in (4000, 2 * _MEMBER_BLOCK + 3):
+            members = model.members(9, population)
+            assert list(members) == [
+                u for u in range(population) if model.has_account(u, 9)
+            ]
+
+    def test_members_at_density_zero_and_one(self):
+        assert list(make_model(site_density=0.0).members(3, 500)) == []
+        assert list(make_model(site_density=1.0).members(3, 500)) == list(range(500))
 
     def test_members_prefix_closed(self):
         model = make_model()

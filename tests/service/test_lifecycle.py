@@ -141,7 +141,7 @@ class TestLoginBatchEquivalence:
             "detections": monitor.detection_digest(),
             "telemetry": provider.telemetry.columns(),
             "states": bytes(provider._table.states),
-            "throttle": dict(provider._throttle),
+            "throttle": provider.throttle_snapshot(),
             "windows": provider.login_window_snapshot(),
         }
 

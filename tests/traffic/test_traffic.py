@@ -259,8 +259,9 @@ class TestPopulation:
         assert len(benign_home_ips([])) == 0
 
     def test_registration_stores_under_100_bytes_per_account(self):
-        """The block keeps numeric columns only: 54 bytes a row,
-        counting the provider's login state, and no strings."""
+        """The block keeps numeric columns only: 63 bytes a row,
+        counting the provider's login state (throttle columns
+        included), and no strings."""
         count = 200_000
         provider = EmailProvider("t.example", SimClock(START), RngTree(9))
         population = BenignPopulation(count)
