@@ -12,8 +12,10 @@ shape:
   incremental telemetry-dump ingestion and account lifecycle churn
   (bind/freeze/reset) as cancellable :class:`~repro.sim.events.EventQueue`
   entries;
-- :mod:`repro.service.checkpoint` — wire-codec-backed epoch
-  checkpoints, written atomically so a kill mid-write cannot corrupt;
+- :mod:`repro.service.checkpoint` — epoch checkpoints as world-store
+  segments (one packed shard result per CRC-checked page), written
+  atomically so a kill mid-write cannot corrupt, and rejected with
+  :class:`CheckpointError` when damaged;
 - :mod:`repro.service.daemon` — the :class:`CampaignDaemon` driving it
   all: one :class:`~repro.core.runner.CampaignRunner` dispatch per
   epoch over a persistent warm worker pool, graceful SIGTERM stop,

@@ -1,50 +1,50 @@
 """Epoch checkpoints: durable resume state for the campaign daemon.
 
-A checkpoint is a JSONL file holding exactly the state a resumed
-daemon cannot cheaply recompute: the per-shard crawl results of every
-completed epoch, encoded with the lossless wire codec from
-:mod:`repro.perf.wire`.  Everything else — the service world, the
-lifecycle streams, the monitor — is a pure function of the
+A checkpoint holds exactly the state a resumed daemon cannot cheaply
+recompute: the per-shard crawl results of every completed epoch.
+Everything else — the service world, the lifecycle streams, the
+monitor — is a pure function of the
 :class:`~repro.service.scheduler.ServiceConfig` and is rebuilt by
 replaying the epoch loop, with checkpointed epochs' crawl dispatch
-swapped for the stored blobs.  Because the codec round-trips
-:class:`~repro.core.runner.ShardResult` bit-for-bit, the resumed run's
+swapped for the stored results.  Because the row codec round-trips
+:class:`~repro.core.runner.ShardResult` exactly, the resumed run's
 journal is byte-identical to an uninterrupted run's.
 
-Layout (one JSON object per line):
+The file is one world-store segment (:mod:`repro.store.segment`), the
+repo's single at-rest format:
 
-- header: ``{"record": "header", "schema": 1, "config_digest": ...,
-  "epochs_completed": N}``
-- shard blobs: ``{"record": "shard_blob", "epoch": e, "shard": k,
-  "wire": <base64>}`` — ``shards × epochs_completed`` of them, in
-  (epoch, shard) order
-- footer: ``{"record": "end", "blobs": M}`` — absent on a truncated
-  file, which :func:`load_checkpoint` rejects
+- its table name, ``checkpoint.v2/<config digest>``, names the layout
+  version and the sim config the checkpoint belongs to;
+- each shard result is one row, ``(epoch, position, wire tuple)`` in
+  epoch/position order, where the wire tuple is
+  :func:`~repro.perf.wire.encode_shard_result`'s flat form packed by
+  :mod:`repro.store.packing` — loading never unpickles;
+- one row per page, so every shard result carries its own CRC32 beside
+  the footer's, the magic and the end marker.
 
-Writes go through a temp file and :func:`os.replace`, so a kill mid
-checkpoint leaves the previous checkpoint intact rather than a torn
-file.
+:class:`~repro.store.segment.SegmentWriter` publishes through a
+``.tmp`` sibling and :func:`os.replace`, so a kill mid checkpoint
+leaves the previous checkpoint intact rather than a torn file.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.runner import ShardResult
-from repro.perf.wire import decode_shard_bytes, encode_shard_bytes
+from repro.perf.wire import decode_shard_result, encode_shard_result
 from repro.service.scheduler import ServiceConfig
+from repro.store.segment import SegmentReader, SegmentWriter, StoreError
 
-#: Bump on incompatible layout changes.
-CHECKPOINT_SCHEMA = 1
+#: Bump on incompatible layout changes (it is part of the table name).
+CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is unreadable, truncated or mismatched."""
+    """A checkpoint file is unreadable, damaged or mismatched."""
 
 
 def config_digest(config: ServiceConfig) -> str:
@@ -57,6 +57,11 @@ def config_digest(config: ServiceConfig) -> str:
     """
     canonical = json.dumps(config.sim_meta(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+def checkpoint_table(digest: str) -> str:
+    """The segment table name of a checkpoint taken under ``digest``."""
+    return f"checkpoint.v{CHECKPOINT_SCHEMA}/{digest}"
 
 
 @dataclass
@@ -75,98 +80,59 @@ class Checkpoint:
         self.epochs_completed = len(self.epoch_results)
 
 
+def _encode_row(row: tuple, _strings) -> tuple:
+    epoch, position, result = row
+    return (epoch, position, encode_shard_result(result))
+
+
+def _decode_row(row: tuple, _strings) -> tuple:
+    epoch, position, wire = row
+    return (epoch, position, decode_shard_result(wire))
+
+
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> int:
     """Write atomically (temp + rename); returns bytes written."""
     path = Path(path)
-    lines = [
-        json.dumps(
-            {
-                "record": "header",
-                "schema": CHECKPOINT_SCHEMA,
-                "config_digest": checkpoint.config_digest,
-                "epochs_completed": checkpoint.epochs_completed,
-            },
-            sort_keys=True,
-        )
-    ]
-    blobs = 0
-    for epoch, results in enumerate(checkpoint.epoch_results):
-        for shard, result in enumerate(results):
-            wire = base64.b64encode(encode_shard_bytes(result)).decode("ascii")
-            lines.append(
-                json.dumps(
-                    {"record": "shard_blob", "epoch": epoch, "shard": shard, "wire": wire},
-                    sort_keys=True,
-                )
-            )
-            blobs += 1
-    lines.append(json.dumps({"record": "end", "blobs": blobs}, sort_keys=True))
-    payload = ("\n".join(lines) + "\n").encode("ascii")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-    return len(payload)
+    table = checkpoint_table(checkpoint.config_digest)
+    with SegmentWriter(path, table, _encode_row, rows_per_page=1) as writer:
+        for epoch, results in enumerate(checkpoint.epoch_results):
+            for position, result in enumerate(results):
+                writer.append((epoch, position, result))
+    return path.stat().st_size
 
 
 def load_checkpoint(path: str | Path, config: ServiceConfig) -> Checkpoint:
     """Read and validate a checkpoint against the resuming config.
 
-    Raises :class:`CheckpointError` on schema or config mismatch, a
-    missing footer (torn write) or out-of-order blobs.
+    Raises :class:`CheckpointError` for a file that is not a segment,
+    is torn or fails any CRC, holds a row that is not a shard row,
+    belongs to another checkpoint version or sim config, or holds its
+    shard rows out of epoch/position order.
     """
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise CheckpointError(f"{path}: empty checkpoint")
+    digest = config_digest(config)
+    table = checkpoint_table(digest)
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not a checkpoint file ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    if header.get("record") != "header":
-        raise CheckpointError(f"{path}: first record is not a header")
-    if header.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"{path}: schema {header.get('schema')} != {CHECKPOINT_SCHEMA}"
-        )
-    expected = config_digest(config)
-    if header.get("config_digest") != expected:
-        raise CheckpointError(
-            f"{path}: checkpoint was taken under a different sim config "
-            f"(digest {header.get('config_digest')!r} != {expected!r})"
-        )
-    try:
-        footer = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: no end marker — truncated write?") from exc
-    if not isinstance(footer, dict) or footer.get("record") != "end":
-        raise CheckpointError(f"{path}: no end marker — truncated write?")
-
-    checkpoint = Checkpoint(config_digest=expected)
-    epoch_results: list[list[ShardResult]] = [
-        [] for _ in range(int(header.get("epochs_completed", 0)))
-    ]
-    blobs = 0
-    for line in lines[1:-1]:
-        record = json.loads(line)
-        if record.get("record") != "shard_blob":
-            raise CheckpointError(f"{path}: unexpected record {record.get('record')!r}")
-        epoch = int(record["epoch"])
-        if not 0 <= epoch < len(epoch_results):
-            raise CheckpointError(f"{path}: blob for epoch {epoch} outside header range")
-        if int(record["shard"]) != len(epoch_results[epoch]):
-            raise CheckpointError(f"{path}: out-of-order shard blob in epoch {epoch}")
-        epoch_results[epoch].append(
-            decode_shard_bytes(base64.b64decode(record["wire"]))
-        )
-        blobs += 1
-    if blobs != int(footer.get("blobs", -1)):
-        raise CheckpointError(
-            f"{path}: footer promises {footer.get('blobs')} blobs, found {blobs}"
-        )
-    if any(not results for results in epoch_results):
-        raise CheckpointError(f"{path}: an epoch in the header has no blobs")
-    for results in epoch_results:
-        checkpoint.record_epoch(results)
-    return checkpoint
+        with SegmentReader(path, _decode_row) as reader:
+            if reader.table != table:
+                raise CheckpointError(
+                    f"{path}: segment table {reader.table!r} is not {table!r} "
+                    "(another checkpoint version, or a different sim config)"
+                )
+            rows = list(reader.iter_rows())
+    except StoreError as exc:
+        raise CheckpointError(str(exc)) from exc
+    epoch_results: list[list[ShardResult]] = []
+    for epoch, position, result in rows:
+        if (epoch, position) == (len(epoch_results), 0):
+            epoch_results.append([result])
+        elif epoch_results and (epoch, position) == (
+            len(epoch_results) - 1, len(epoch_results[-1])
+        ):
+            epoch_results[-1].append(result)
+        else:
+            raise CheckpointError(
+                f"{path}: shard row (epoch {epoch!r}, position {position!r}) "
+                "out of order"
+            )
+    return Checkpoint(digest, len(epoch_results), epoch_results)

@@ -18,12 +18,13 @@ Two properties carry the contract:
   :meth:`CampaignRunner.plan` (no shared state with the service
   world), so each epoch is bit-identical for any worker count, and a
   completed epoch's :class:`~repro.core.runner.ShardResult`\\ s can be
-  stored in a checkpoint via the lossless wire codec.
+  stored in a checkpoint (:mod:`repro.service.checkpoint`: one packed,
+  CRC-checked segment row per shard).
 - **The service world is replayable.** Probes, lifecycle churn and
   dump ingestion depend only on the config, never on crawl results, so
   a resumed daemon rebuilds service state by replaying the epoch loop
   from epoch 0 — checkpointed epochs swap the runner dispatch for the
-  stored blobs; everything else re-fires identically.
+  stored results; everything else re-fires identically.
 
 Hence the resume guarantee: a daemon killed at any epoch boundary and
 restarted from its checkpoint finishes with a journal **byte-identical**
@@ -71,7 +72,7 @@ class EpochReport:
     attempts: int
     exposed: int
     service_events: int
-    #: True when this epoch's crawl came from a checkpoint blob rather
+    #: True when this epoch's crawl came from checkpoint rows rather
     #: than a live dispatch (resume replay).
     replayed: bool = False
     checkpointed: bool = False

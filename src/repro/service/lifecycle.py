@@ -141,7 +141,7 @@ class AccountLifecycle:
                 self._population,
                 tree,
             )
-            self._traffic_queue = BackpressureQueue(config.traffic_queue_depth)
+            self._traffic_queue = BackpressureQueue()
         self._stuffing_engine: StuffingEngine | None = None
         self._stuffing_queue: BackpressureQueue | None = None
         self._stuffing_cursor = 0
@@ -167,7 +167,7 @@ class AccountLifecycle:
                 tree,
                 batch_events=config.stuffing_batch_events,
             )
-            self._stuffing_queue = BackpressureQueue(config.stuffing_queue_depth)
+            self._stuffing_queue = BackpressureQueue()
             self._stuffing_rng = tree.child("stuffing", "campaign").rng()
 
     # -- installation ------------------------------------------------------

@@ -60,8 +60,8 @@ class ServiceConfig:
     prune_telemetry: bool = True
     #: Benign-traffic population (0 disables the traffic stream).  The
     #: traffic knobs below shape *which login events exist*, so they
-    #: are sim-shaping; how those events are batched (batch size,
-    #: queue depth) is execution-shaping.
+    #: are sim-shaping; how those events are batched is
+    #: execution-shaping.
     traffic_users: int = 0
     traffic_logins_per_day: float = 2.0
     traffic_mails_per_day: float = 0.5
@@ -70,8 +70,8 @@ class ServiceConfig:
     #: benign population (``traffic_users > 0``) — the reuse model and
     #: the breached corpora are derived over that population.  All of
     #: these shape which stuffed login events exist, so they are
-    #: sim-shaping; the stuffing batch size and queue depth below are
-    #: execution-shaping, exactly like their traffic twins.
+    #: sim-shaping; the stuffing batch size below is execution-shaping,
+    #: exactly like its traffic twin.
     stuffing_interval: int = 0
     stuffing_exact_rate: float = 0.3
     stuffing_derive_rate: float = 0.3
@@ -84,15 +84,11 @@ class ServiceConfig:
     executor: str = "serial"
     warm_workers: bool = True
     checkpoint_every: int = 1
-    #: Max events per traffic batch and bound of the backpressure queue
-    #: between generator and login engine.  Execution-shaping: batch
-    #: splitting groups the same events without reordering them, and
-    #: the FIFO queue preserves window order at any depth.
+    #: Max events per traffic batch.  Execution-shaping: batch
+    #: splitting groups the same events without reordering them.
     traffic_batch_events: int = 8192
-    traffic_queue_depth: int = 8
-    #: Stuffing-wave dispatch shaping (split/queue only, never order).
+    #: Stuffing-wave dispatch shaping (split only, never order).
     stuffing_batch_events: int = 8192
-    stuffing_queue_depth: int = 8
     #: Path of a built world store (:mod:`repro.store`), or None for
     #: in-memory worlds.  Execution-shaped: a run may be resumed with
     #: the store toggled either way and must still byte-match.

@@ -9,7 +9,9 @@ row tuples) from shard-result *transport* into a persistent *backend*:
   value codec (the byte layer under every page and footer);
 - :mod:`repro.store.segment` — append-only segment files: fixed-size
   row-group pages, each self-contained with its own string intern
-  table, indexed by a checksummed footer;
+  table, indexed by a checksummed footer.  Segments are the repo's one
+  at-rest format: the service's epoch checkpoints
+  (:mod:`repro.service.checkpoint`) are segments too;
 - :mod:`repro.store.pagecache` — an LRU of decoded pages under a
   configurable byte budget, with residency accounting;
 - :mod:`repro.store.rows` — lossless row codecs for the three world

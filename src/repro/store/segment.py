@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from repro.store.packing import PackError, pack, unpack
+from repro.store.packing import pack, unpack
 
 __all__ = ["SEGMENT_SCHEMA", "SegmentReader", "SegmentWriter", "StoreError"]
 
@@ -257,8 +257,8 @@ class SegmentReader:
             raise StoreError(f"{self.path}: footer checksum mismatch")
         try:
             schema, table, row_count, rows_per_page, entries = unpack(footer)
-        except (PackError, ValueError) as exc:
-            raise StoreError(f"{self.path}: undecodable footer ({exc})") from exc
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"{self.path}: undecodable footer ({exc!r})") from exc
         if schema != SEGMENT_SCHEMA:
             raise StoreError(
                 f"{self.path}: segment schema {schema!r} unsupported "
@@ -267,7 +267,10 @@ class SegmentReader:
         self.table = table
         self.row_count = row_count
         self.rows_per_page = rows_per_page
-        self._entries = [PageEntry(*entry) for entry in entries]
+        try:
+            self._entries = [PageEntry(*entry) for entry in entries]
+        except TypeError as exc:
+            raise StoreError(f"{self.path}: undecodable footer index ({exc!r})") from exc
         self._first_rows = [e.first_row for e in self._entries]
         indexed = sum(e.n_rows for e in self._entries)
         if indexed != row_count:
@@ -292,18 +295,22 @@ class SegmentReader:
             raise StoreError(
                 f"{self.path}: page checksum mismatch at offset {entry.offset}"
             )
+        # A CRC-valid page can still hold rows of the wrong shape (a
+        # file written by another codec): the row decoder's own errors
+        # become StoreError too, so no malformed page escapes raw.
         try:
             strings, rows = unpack(payload)
-        except (PackError, ValueError) as exc:
+            decoded = [self._decode(row, strings) for row in rows]
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(
-                f"{self.path}: undecodable page at offset {entry.offset} ({exc})"
+                f"{self.path}: undecodable page at offset {entry.offset} ({exc!r})"
             ) from exc
-        if len(rows) != entry.n_rows:
+        if len(decoded) != entry.n_rows:
             raise StoreError(
                 f"{self.path}: page at offset {entry.offset} decodes to "
-                f"{len(rows)} rows, index says {entry.n_rows}"
+                f"{len(decoded)} rows, index says {entry.n_rows}"
             )
-        return [self._decode(row, strings) for row in rows]
+        return decoded
 
     def _page_rows(self, entry: PageEntry) -> list:
         if self._cache is None:

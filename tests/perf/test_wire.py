@@ -25,6 +25,7 @@ from repro.perf.wire import (
     encode_shard_result,
     pickled_size,
 )
+from repro.store.packing import pack, unpack
 from repro.util.rngtree import RngTree
 
 # -- strategies ---------------------------------------------------------------
@@ -100,14 +101,34 @@ events = st.builds(
     EventRecord, time=instants, component=text, message=text, attrs=attr_tuples
 )
 
+
+@st.composite
+def histogram_snapshots(draw):
+    """The shape ``Histogram.as_dict`` emits: list bounds and buckets."""
+    bounds = sorted(draw(st.lists(
+        st.integers(0, 10**6) | st.floats(0, 1e6, allow_nan=False),
+        min_size=1, max_size=4,
+    )))
+    buckets = draw(st.lists(st.integers(0, 99), min_size=len(bounds),
+                            max_size=len(bounds)))
+    overflow = draw(st.integers(0, 99))
+    return {
+        "bounds": bounds,
+        "buckets": buckets,
+        "overflow": overflow,
+        "count": sum(buckets) + overflow,
+        "sum": draw(st.integers(0, 10**9) | st.floats(0, 1e9, allow_nan=False)),
+    }
+
+
 observations = st.builds(
     ShardObservation,
     shard_index=st.integers(0, 64),
     counters=st.dictionaries(text, st.integers(0, 999), max_size=4),
-    gauges=st.dictionaries(text, st.integers(0, 999), max_size=3),
-    histograms=st.dictionaries(
-        text, st.dictionaries(text, st.integers(0, 99), max_size=3), max_size=2
+    gauges=st.dictionaries(
+        text, st.integers(0, 999) | st.floats(allow_nan=False), max_size=3
     ),
+    histograms=st.dictionaries(text, histogram_snapshots(), max_size=2),
     spans=st.lists(spans, max_size=4),
     events=st.lists(events, max_size=4),
 )
@@ -144,6 +165,13 @@ class TestRoundTrip:
     def test_wire_tuple_survives_pickle(self, result):
         # What actually crosses the pool: pickle of the flat structure.
         wire = pickle.loads(pickle.dumps(encode_shard_result(result)))
+        assert decode_shard_result(wire) == result
+
+    @settings(max_examples=60, deadline=None)
+    @given(result=shard_results)
+    def test_wire_tuple_survives_pack(self, result):
+        # What a checkpoint stores: pack, which returns lists as tuples.
+        wire = unpack(pack(encode_shard_result(result)))
         assert decode_shard_result(wire) == result
 
 
