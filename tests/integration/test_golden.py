@@ -1,13 +1,14 @@
 """Golden pins: the reproduction's output bytes, hashed.
 
-Three SHA-256 pins that any refactor must leave alone:
+SHA-256 pins that any refactor must leave alone:
 
 - the stdout of ``repro pilot --scale 0.02 --seed 2017`` — the rendered
   Tables 1-4, Figure 3 and the §6.4.3 IP statistics of a small pilot;
 - the journal bytes plus the monitor's detection digest of one small
   ``serve`` run with benign traffic, credential stuffing and the flight
   recorder on, so the journaled ``health.*`` verdicts are part of the
-  hashed bytes;
+  hashed bytes; the same run's flight file is pinned beside it, the
+  only check on the stuffing panel's bytes;
 - the stdout of ``repro pilot --scale 1.0 --seed 2017``, the full-scale
   reference run that EXPERIMENTS.md reports.  It takes about a minute,
   so it is marked ``slow``.  It also renders the measured column of
@@ -42,6 +43,7 @@ from repro.util.timeutil import DAY
 
 PILOT_SHA256 = "04e133241ec25ab79b441d1a9865024d6ead4474712ee9698f52ef18158ab865"
 SERVE_SHA256 = "b21e7ba7b815f664e2b7e206c5f9607bc6d1688b9d6ba5ee5586b9e788dc37be"
+FLIGHT_SHA256 = "40ae387c0248bb2e9a3b5c9dae43322ab358ee728c7c725c1ae0b815c601f1e5"
 FULL_SCALE_SHA256 = "52fca1bd6af9d7ce259fdda700296177ce02b3108913d88fe26e1538f325c2f6"
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
@@ -104,12 +106,14 @@ def test_serve_journal_and_detections_are_pinned(tmp_path):
         stuffing_interval=11 * DAY,
         stuffing_site_density=0.1,
     )
-    result = CampaignDaemon(config, flight_path=tmp_path / "flight.jsonl").run()
+    flight = tmp_path / "flight.jsonl"
+    result = CampaignDaemon(config, flight_path=flight).run()
     journal = result.journal.to_jsonl()
     assert '"health.' in journal
     digest = hashlib.sha256(journal.encode("utf-8"))
     digest.update(result.detection_digest.encode("ascii"))
     assert digest.hexdigest() == SERVE_SHA256
+    assert hashlib.sha256(flight.read_bytes()).hexdigest() == FLIGHT_SHA256
 
 
 # -- the full-scale pin and EXPERIMENTS.md's headline table -------------------
