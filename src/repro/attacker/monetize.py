@@ -76,7 +76,3 @@ class Monetizer:
                 log.actions.append(f"spam x{sent}")
                 self._obs.count("attacker.spam_sent", sent)
         return None
-
-    def all_logs(self) -> dict[str, MonetizationLog]:
-        """Every account the monetizer touched."""
-        return dict(self._logs)

@@ -560,34 +560,16 @@ def _run_serve(args: argparse.Namespace) -> int:
               + (", interrupted" if result.interrupted else "") + ")",
     ))
     lifecycle = result.lifecycle
+    # Streams that are on, in install order; each brings its own rows.
+    streams = [s for s in result.streams if s.interval]
     rows = [
         ["Registration attempts", str(result.stats.attempts)],
         ["Identities exposed (burned)", str(result.stats.exposed_attempts)],
-        ["Control-account probes", str(lifecycle.probes)],
-        ["Accounts bound (service)", str(lifecycle.binds)],
-        ["Provider freezes / recoveries",
-         f"{lifecycle.freezes} / {lifecycle.recoveries}"],
-        ["Password rotations", str(lifecycle.resets)],
-        ["Attacker accesses (successful)",
-         f"{lifecycle.attacks} ({lifecycle.attack_successes})"],
-        ["Telemetry dumps ingested", str(lifecycle.dumps)],
+        *([label, value.format_map(vars(lifecycle))]
+          for stream in streams for label, value in stream.totals),
         ["Sites detected", str(result.detected_sites)],
         ["Detection digest", result.detection_digest[:16]],
     ]
-    if config.traffic_users > 0:
-        rows[8:8] = [
-            ["Benign logins (successful)",
-             f"{lifecycle.traffic_logins} ({lifecycle.traffic_successes})"],
-            ["Benign mails delivered", str(lifecycle.traffic_mails)],
-        ]
-    if config.stuffing_interval > 0:
-        rows[8:8] = [
-            ["Stuffing waves (candidates)",
-             f"{lifecycle.stuffing_waves} ({lifecycle.stuffing_candidates})"],
-            ["Stuffed logins (successful)",
-             f"{lifecycle.stuffing_logins} ({lifecycle.stuffing_successes})"],
-            ["Cross-site hits", str(lifecycle.stuffing_site_hits)],
-        ]
     print(render_table(["Metric", "Value"], rows, title="Service totals"))
     if result.stuffing_waves and result.stuffing_model is not None:
         from repro.analysis.stuffing import (
@@ -634,26 +616,10 @@ def _run_serve(args: argparse.Namespace) -> int:
                 "attempts": result.stats.attempts,
                 "exposed_attempts": result.stats.exposed_attempts,
             },
+            # Every stream's counters, the off streams' zeros included.
             "lifecycle": {
-                "probes": lifecycle.probes,
-                "probe_logins": lifecycle.probe_logins,
-                "binds": lifecycle.binds,
-                "freezes": lifecycle.freezes,
-                "recoveries": lifecycle.recoveries,
-                "resets": lifecycle.resets,
-                "attacks": lifecycle.attacks,
-                "attack_successes": lifecycle.attack_successes,
-                "dumps": lifecycle.dumps,
-                "traffic_windows": lifecycle.traffic_windows,
-                "traffic_logins": lifecycle.traffic_logins,
-                "traffic_successes": lifecycle.traffic_successes,
-                "traffic_mails": lifecycle.traffic_mails,
-                "stuffing_waves": lifecycle.stuffing_waves,
-                "stuffing_candidates": lifecycle.stuffing_candidates,
-                "stuffing_logins": lifecycle.stuffing_logins,
-                "stuffing_successes": lifecycle.stuffing_successes,
-                "stuffing_site_hits": lifecycle.stuffing_site_hits,
-                "state_evictions": lifecycle.state_evictions,
+                name: getattr(lifecycle, name)
+                for stream in result.streams for name in stream.fields
             },
             "stuffing": [
                 {
@@ -674,16 +640,13 @@ def _run_serve(args: argparse.Namespace) -> int:
                 for w in result.stuffing_waves
             ],
             # Per-stream firing tallies: answers "which stream is
-            # starved" straight from the summary (satellite of PR 9).
+            # starved" straight from the summary.
             "streams": {
-                label: {
-                    "count": lifecycle.stream_counts.get(label, 0),
-                    "last_fired": lifecycle.stream_last_fired.get(label),
+                stream.label: {
+                    "count": lifecycle.stream_counts[stream.label],
+                    "last_fired": lifecycle.stream_last_fired.get(stream.label),
                 }
-                for label in sorted(
-                    set(lifecycle.stream_counts)
-                    | set(lifecycle.stream_last_fired)
-                )
+                for stream in sorted(streams, key=lambda s: s.label)
             },
         }
         args.json.write_text(json.dumps(summary, indent=2) + "\n",

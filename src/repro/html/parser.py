@@ -21,10 +21,6 @@ _ATTR_RE = re.compile(
 _RAW_TEXT_TAGS = frozenset({"script", "style", "textarea", "title"})
 
 
-class HtmlParseError(ValueError):
-    """Raised for text so malformed no recovery is possible."""
-
-
 def parse_html(text: str) -> Element:
     """Parse HTML text into a DOM tree rooted at an ``html`` element.
 

@@ -104,7 +104,3 @@ class IdentityFactory:
         )
         self._next_id += 1
         return identity
-
-    def create_batch(self, count: int, password_class: PasswordClass) -> list[Identity]:
-        """Generate ``count`` identities of one class."""
-        return [self.create(password_class) for _ in range(count)]

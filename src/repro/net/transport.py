@@ -135,12 +135,6 @@ class Transport:
         else:
             self._https_hosts.discard(key)
 
-    def unregister_host(self, host: str) -> None:
-        """Remove a host entirely."""
-        key = host.lower()
-        self._handlers.pop(key, None)
-        self._https_hosts.discard(key)
-
     def set_host_down(self, host: str, down: bool = True) -> None:
         """Mark a registered host as (un)reachable without removing it."""
         key = host.lower()

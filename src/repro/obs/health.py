@@ -8,11 +8,13 @@ evaluation as a ``health.<rule>`` event, and those journal bytes stay
 identical across worker counts, executors, and kill/resume — a health
 regression is reproducible from the seed, not a flaky alert.
 
-The default rules:
+The rules, in journal order:
 
-- **queue_saturation** / **stuffing_queue_saturation** — the traffic
-  or stuffing backpressure queue is refusing a large share of offered
-  batches (the login engine can't keep up with the producer);
+- **<queue>_saturation** — one per queued service stream, named after
+  the queue (the lifecycle's ``ServiceStream.queue_path`` joined with
+  ``_``): its backpressure queue is refusing a large share of offered
+  batches (the login engine can't keep up with the producer).  A
+  stream that is off reports ``enabled: false``;
 - **throttle_growth** — the provider's sparse throttle table has grown
   past its bound (state eviction is losing to failure volume);
 - **checkpoint_staleness** — reconstructible state has fallen behind
@@ -27,7 +29,8 @@ rule scales with the schedule instead of hard-coding days.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 #: Verdict levels, in increasing severity.
 OK, WARN, FAIL = "ok", "warn", "fail"
@@ -54,7 +57,7 @@ class HealthStatus:
 class HealthThresholds:
     """Rule bounds (sim-shaped: they feed journaled verdicts)."""
 
-    #: Refused/offered share of traffic batches before warn/fail.
+    #: Refused/offered share of a queue's batches before warn/fail.
     queue_refusal_warn: float = 0.25
     queue_refusal_fail: float = 0.75
     #: Provider throttle-table rows before warn/fail.
@@ -69,50 +72,45 @@ class HealthThresholds:
 
 
 class HealthCheck:
-    """Evaluates every rule against one snapshot, in declared order."""
+    """Evaluates every rule against one snapshot, in :attr:`rules` order.
 
-    RULES = (
-        "queue_saturation",
-        "stuffing_queue_saturation",
-        "throttle_growth",
-        "checkpoint_staleness",
-        "stream_starvation",
-    )
+    ``queues`` holds the snapshot path of each queued stream's queue
+    stats, one saturation rule each, evaluated first.
+    """
 
-    def __init__(self, thresholds: HealthThresholds | None = None):
+    def __init__(self, thresholds: HealthThresholds | None = None,
+                 queues: Sequence[tuple[str, ...]] = ()):
         self.thresholds = thresholds or HealthThresholds()
+        self.queues = tuple(queues)
+        self.rules = tuple(f"{'_'.join(path)}_saturation" for path in self.queues) + (
+            "throttle_growth", "checkpoint_staleness", "stream_starvation",
+        )
 
     @classmethod
-    def for_config(cls, epoch_length: int,
-                   thresholds: HealthThresholds | None = None) -> "HealthCheck":
+    def for_config(cls, epoch_length: int, thresholds: HealthThresholds | None = None,
+                   queues: Sequence[tuple[str, ...]] = ()) -> "HealthCheck":
         """Thresholds with staleness bounds scaled to the schedule.
 
         A checkpoint is stale when reconstructible state trails sim
         time by multiple epochs — two to warn, four to fail.
         """
-        base = thresholds or HealthThresholds()
-        return cls(HealthThresholds(
-            queue_refusal_warn=base.queue_refusal_warn,
-            queue_refusal_fail=base.queue_refusal_fail,
-            throttle_rows_warn=base.throttle_rows_warn,
-            throttle_rows_fail=base.throttle_rows_fail,
+        return cls(replace(
+            thresholds or HealthThresholds(),
             checkpoint_age_warn=2 * epoch_length,
             checkpoint_age_fail=4 * epoch_length,
-            starvation_warn_intervals=base.starvation_warn_intervals,
-            starvation_fail_intervals=base.starvation_fail_intervals,
-        ))
+        ), queues)
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, snapshot: dict) -> list[HealthStatus]:
-        """All rule verdicts for one snapshot, rule-declaration order."""
-        stuffing = snapshot.get("stuffing")
-        return [
-            self._queue_saturation("queue_saturation", snapshot.get("queue")),
-            self._queue_saturation(
-                "stuffing_queue_saturation",
-                stuffing.get("queue") if stuffing else None,
-            ),
+        """All rule verdicts for one snapshot, in :attr:`rules` order."""
+        statuses = []
+        for rule, path in zip(self.rules, self.queues):
+            queue = snapshot
+            for key in path:
+                queue = queue.get(key) if queue else None
+            statuses.append(self._queue_saturation(rule, queue))
+        return statuses + [
             self._throttle_growth(snapshot),
             self._checkpoint_staleness(snapshot),
             self._stream_starvation(snapshot),

@@ -3,12 +3,11 @@
 Where the run journal (:mod:`repro.obs.journal`) is written once at
 the *end* of a run, the flight recorder is flushed on every scheduler
 epoch while the daemon is still running: schema-versioned JSONL
-snapshots of sim-clock metrics — per-lifecycle-stream event counts and
-last-fired instants, backpressure-queue accounting, the batch login
-engine's vector/scalar path mix, provider throttle/window/evidence-log
+snapshots of sim-clock metrics — one row per service stream and one
+panel per queued stream (both from the lifecycle's ``ServiceStream``
+registry), the batch login engine's path mix, provider login-state
 sizes, monitor detections, checkpoint coverage — plus a bounded ring
-of recent *notable* events (detections, lockouts, faults, queue
-refusals) and the health-rule verdicts of :mod:`repro.obs.health`.
+of recent *notable* events and the verdicts of :mod:`repro.obs.health`.
 
 Determinism boundary
 --------------------
@@ -91,18 +90,9 @@ class FlightRecorder:
         self._ring: deque[dict] = deque(maxlen=ring_capacity)
         self._flushes = 0
 
-    @property
-    def flushes(self) -> int:
-        """How many snapshots have been written so far."""
-        return self._flushes
-
     def note(self, sim_time: int, kind: str, **attrs: object) -> None:
         """Record one notable event into the bounded ring."""
         self._ring.append({"sim_time": sim_time, "kind": kind, **attrs})
-
-    def notable(self) -> list[dict]:
-        """The ring's current contents, oldest first."""
-        return list(self._ring)
 
     def flush(self, snapshot: dict, health: list | None = None) -> None:
         """Append one snapshot (+ health verdicts) and rewrite the file.
@@ -115,7 +105,7 @@ class FlightRecorder:
         """
         seq = self._flushes
         record = {"record": "snapshot", "seq": seq, **snapshot}
-        record["notable"] = self.notable()
+        record["notable"] = list(self._ring)
         self._lines.append(_dumps(record))
         for status in health or ():
             self._lines.append(_dumps({
@@ -145,12 +135,11 @@ class FlightRecorder:
 class ServiceFlightProbe:
     """Collects one deterministic snapshot per epoch from the daemon.
 
-    Holds references into the live service world and tracks per-flush
-    deltas so notable events (new detections, queue refusals, faults,
-    lockouts) land in the recorder's ring exactly once.  Every value
-    read here is sim-derived state of the *main-process* service
-    world — never worker-local, never wall-clock — which is what makes
-    the snapshot bytes executor-invariant.
+    Tracks per-flush deltas so each notable event lands in the
+    recorder's ring exactly once.  Every value read here is sim-derived
+    state of the *main-process* service world — never worker-local,
+    never wall-clock — which makes the snapshot bytes
+    executor-invariant.
     """
 
     def __init__(self, recorder: FlightRecorder, system, monitor, lifecycle,
@@ -167,6 +156,12 @@ class ServiceFlightProbe:
         previous = self._last.get(key, 0)
         self._last[key] = value
         return value - previous
+
+    def _note_growth(self, now: int, kind: str, value: int, attribute: str) -> None:
+        """Note ``kind`` with the growth of ``value`` since the last flush."""
+        grown = self._delta(kind, value)
+        if grown > 0:
+            self.recorder.note(now, kind, **{attribute: grown})
 
     def snapshot(self, epoch: int, epoch_faults=None) -> dict:
         """The sim-derived snapshot after ``epoch`` completed.
@@ -189,10 +184,6 @@ class ServiceFlightProbe:
             }
             for label, interval in sorted(self.lifecycle.stream_intervals.items())
         }
-
-        queue = self.lifecycle.queue_stats()
-        stuffing_queue = self.lifecycle.stuffing_queue_stats()
-        engine = system.provider.batch_engine_stats()
         login_state = system.provider.login_state_sizes(now)
 
         # -- notable-event deltas (ring entries, at most one per kind) --
@@ -201,29 +192,28 @@ class ServiceFlightProbe:
         if new_detections > 0:
             self.recorder.note(now, "detection", sites=new_detections,
                                total=detections)
-        if queue is not None:
-            refused = self._delta("queue.refused", queue["refused"])
-            if refused > 0:
-                self.recorder.note(now, "queue.refused", batches=refused)
-        if stuffing_queue is not None:
-            refused = self._delta(
-                "stuffing_queue.refused", stuffing_queue["refused"]
-            )
-            if refused > 0:
-                self.recorder.note(now, "stuffing.queue.refused",
-                                   batches=refused)
-            new_hits = self._delta(
-                "stuffing.successes", stats.stuffing_successes
-            )
-            if new_hits > 0:
-                self.recorder.note(now, "stuffing.hits", accounts=new_hits)
-        locked = self._delta("lockouts", login_state["locked_rows"])
-        if locked > 0:
-            self.recorder.note(now, "lockout", rows=locked)
-        service_faults = sum(system.fault_report.as_dict().values())
-        grown = self._delta("service_faults", service_faults)
-        if grown > 0:
-            self.recorder.note(now, "service.faults", count=grown)
+        # Queue panels (None while off), refusal and counter notables.
+        panels: dict[str, dict | None] = {}
+        for stream in self.lifecycle.streams:
+            if not stream.queue_path:
+                continue
+            key = stream.queue_path[0]
+            if stream.queue is None:
+                panels[key] = None
+                continue
+            queue = panels[key] = stream.queue.stats()
+            self._note_growth(now, ".".join(stream.queue_path) + ".refused",
+                              queue["refused"], "batches")
+            for kind, counter, attribute in stream.notables:
+                self._note_growth(now, kind, getattr(stats, counter), attribute)
+            if len(stream.queue_path) > 1:
+                panels[key] = {"queue": queue, **{
+                    name.removeprefix(f"{key}_"): getattr(stats, name)
+                    for name in stream.fields
+                }}
+        self._note_growth(now, "lockout", login_state["locked_rows"], "rows")
+        self._note_growth(now, "service.faults",
+                          sum(system.fault_report.as_dict().values()), "count")
         if epoch_faults is not None:
             crawl_faults = sum(epoch_faults.as_dict().values())
             if crawl_faults > 0:
@@ -237,19 +227,8 @@ class ServiceFlightProbe:
             "sim_start": self.scheduler.config.start,
             "epoch_length": self.scheduler.config.epoch_length,
             "streams": streams,
-            "queue": queue,
-            # The stuffing stream's own queue and sim-derived tallies
-            # (None with stuffing off) — same determinism contract as
-            # the traffic queue section.
-            "stuffing": None if stuffing_queue is None else {
-                "queue": stuffing_queue,
-                "waves": stats.stuffing_waves,
-                "candidates": stats.stuffing_candidates,
-                "logins": stats.stuffing_logins,
-                "successes": stats.stuffing_successes,
-                "site_hits": stats.stuffing_site_hits,
-            },
-            "engine": engine,
+            **panels,
+            "engine": system.provider.batch_engine_stats(),
             "provider": login_state,
             "monitor": {
                 "detected_sites": detections,
@@ -265,6 +244,23 @@ class ServiceFlightProbe:
             "counters": metrics.counters_dict(),
             "histograms": metrics.histograms_dict(),
         }
+
+
+def queue_panels(panels: dict) -> list[tuple[tuple[str, ...], dict]]:
+    """The live backpressure queues among ``panels``, with their paths.
+
+    ``panels`` is a flight snapshot or a daemon's ``live_stats``.  A
+    queue's stats sit either directly under a key or under that key's
+    ``queue`` member (see ``ServiceStream.queue_path``); the panel of a
+    stream that is off is None and yields nothing.
+    """
+    found = []
+    for key, panel in panels.items():
+        if isinstance(panel, dict) and isinstance(panel.get("queue"), dict):
+            found.append(((key, "queue"), panel["queue"]))
+        elif isinstance(panel, dict) and {"offered", "refused"} <= panel.keys():
+            found.append(((key,), panel))
+    return found
 
 
 def parse_flight(text: str) -> dict:

@@ -11,6 +11,7 @@ journal — they can only be rendered live, passed in via
 from __future__ import annotations
 
 from repro.crawler.outcomes import TerminationCode
+from repro.obs.live import queue_panels
 from repro.util.tables import percent, render_table
 
 #: Span histograms rendered in the latency section, in pipeline order.
@@ -68,9 +69,9 @@ def render_ops_report(
     equivalent from :func:`~repro.obs.journal.parse_journal`).
     ``live_stats`` is the serve daemon's process-local gauge bundle
     (:attr:`~repro.service.daemon.ServiceRunResult.live_stats`): the
-    batch engine's path mix, backpressure-queue accounting, and
-    provider login-state sizes.  Like cache stats, it is live-only —
-    saved journals cannot reproduce it.
+    batch engine's path mix, each live backpressure queue's accounting
+    (one section each), and provider login-state sizes.  Like cache
+    stats, it is live-only — saved journals cannot reproduce it.
     """
     counters = payload.get("counters", {})
     histograms = payload.get("histograms", {})
@@ -161,8 +162,7 @@ def render_ops_report(
                 title="Batch login engine (live process, not journaled)",
                 align_right=(1, 2),
             ))
-        queue = live_stats.get("queue")
-        if queue:
+        for path, queue in queue_panels(live_stats):
             queue_rows = [
                 ["offered", queue["offered"]],
                 ["refused (backpressure)", queue["refused"]],
@@ -170,7 +170,7 @@ def render_ops_report(
                 ["peak depth", f"{queue['peak_depth']}/{queue['max_depth']}"],
             ]
             sections.append(render_table(
-                ["queue", "value"], queue_rows,
+                [" ".join(path).replace("_", " "), "value"], queue_rows,
                 title="Backpressure queue (live process, not journaled)",
                 align_right=(1,),
             ))

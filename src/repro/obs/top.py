@@ -2,7 +2,8 @@
 
 ``repro obs top`` renders the *latest* snapshot of a flight file as a
 compact dashboard — header line, health verdicts, lifecycle stream
-table, queue/engine/provider gauges, and the notable-event ring.  It
+table, gauges (one pair per live backpressure queue, then the engine,
+provider, monitor and checkpoint), and the notable-event ring.  It
 works identically on a live daemon's file (which is atomically
 replaced on every flush, so a read never sees a torn record) and on a
 dead file left behind by a finished run; ``--follow`` mode polls the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.obs.live import parse_flight
+from repro.obs.live import parse_flight, queue_panels
 from repro.util.tables import percent, render_table
 from repro.util.timeutil import DAY, format_instant
 
@@ -93,11 +94,11 @@ def render_top(flight: dict) -> str:
         ))
 
     gauges: list[tuple[str, object]] = []
-    queue = snap.get("queue")
-    if queue:
-        gauges.append(("queue depth/peak",
+    for path, queue in queue_panels(snap):
+        name = " ".join(path)
+        gauges.append((f"{name} depth/peak",
                        f"{queue['depth']}/{queue['peak_depth']}"))
-        gauges.append(("queue refused",
+        gauges.append((f"{name} refused",
                        f"{queue['refused']} "
                        f"({percent(queue['refused'], queue['offered'] + queue['refused'])})"))
     engine = snap.get("engine", {})

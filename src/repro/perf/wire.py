@@ -76,10 +76,6 @@ class Interner:
         return position
 
 
-#: Backwards-compatible private alias.
-_Interner = Interner
-
-
 def encode_identity_row(identity: Identity, strings: Interner) -> tuple:
     s = strings.add
     a = identity.address
@@ -124,7 +120,7 @@ def decode_identity_row(row: tuple, strings: list) -> Identity:
     )
 
 
-def encode_outcome_row(outcome: CrawlOutcome, strings: _Interner) -> tuple:
+def encode_outcome_row(outcome: CrawlOutcome, strings: Interner) -> tuple:
     s = strings.add
     return (
         s(outcome.site_host),
@@ -156,7 +152,7 @@ def decode_outcome_row(row: tuple, strings: list) -> CrawlOutcome:
 
 
 def _encode_attempt(
-    attempt: AttemptRecord, strings: _Interner, identities: _Interner
+    attempt: AttemptRecord, strings: Interner, identities: Interner
 ) -> tuple:
     s = strings.add
     return (
@@ -191,7 +187,7 @@ def _counter_tuple(record) -> tuple:
     )
 
 
-def _encode_observation(obs: ShardObservation, strings: _Interner) -> tuple:
+def _encode_observation(obs: ShardObservation, strings: Interner) -> tuple:
     s = strings.add
     return (
         obs.shard_index,
@@ -239,8 +235,8 @@ def _decode_observation(row: tuple, strings: list) -> ShardObservation:
 
 def encode_shard_result(result: "ShardResult") -> tuple:
     """Flatten a shard result into the schema-versioned wire tuple."""
-    strings = _Interner()
-    identities = _Interner()
+    strings = Interner()
+    identities = Interner()
     site_attempts = [
         (
             position,

@@ -34,7 +34,7 @@ to an uninterrupted run's, for any worker count on either side.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.campaign import AttemptRecord, CampaignStats
@@ -55,7 +55,7 @@ from repro.obs.live import FlightRecorder, ServiceFlightProbe
 from repro.obs.merge import sum_counter_dataclasses
 from repro.perf.caching import cache_stats
 from repro.service.checkpoint import Checkpoint, config_digest, save_checkpoint
-from repro.service.lifecycle import AccountLifecycle, LifecycleStats
+from repro.service.lifecycle import AccountLifecycle, LifecycleStats, ServiceStream
 from repro.service.scheduler import EpochScheduler, ServiceConfig
 from repro.util.rngtree import RngTree
 from repro.util.timeutil import SimInstant
@@ -89,6 +89,10 @@ class ServiceRunResult:
     telemetry: ShardTelemetry
     fault_report: FaultReport
     lifecycle: LifecycleStats
+    #: The lifecycle's stream registry (totals rows, ``--json``
+    #: blocks), without the actions and queues that would keep the
+    #: service world alive as long as the result.
+    streams: list[ServiceStream]
     #: Stable digest of the monitor's full detection state; resumed and
     #: uninterrupted runs must agree on it.
     detection_digest: str
@@ -102,9 +106,10 @@ class ServiceRunResult:
     #: the stuffing stream is off).
     stuffing_waves: list = field(default_factory=list)
     stuffing_model: object | None = None
-    #: Live process-local gauges read at loop exit (engine path mix,
-    #: backpressure-queue accounting, provider state sizes).  Operator
-    #: surface only — never journaled.
+    #: Live process-local gauges read at loop exit: the engine path
+    #: mix, each queued stream's queue accounting under its queue name
+    #: (``queue``, ``stuffing_queue``; None while off) and provider
+    #: state sizes.  Operator surface only — never journaled.
     live_stats: dict | None = None
 
     def exposed_attempts(self) -> list[AttemptRecord]:
@@ -246,7 +251,10 @@ class CampaignDaemon:
             probe = ServiceFlightProbe(
                 recorder, system, monitor, lifecycle, self.scheduler
             )
-            health = HealthCheck.for_config(cfg.epoch_length)
+            health = HealthCheck.for_config(
+                cfg.epoch_length,
+                queues=[s.queue_path for s in lifecycle.streams if s.queue_path],
+            )
             # Health verdicts are journaled: their inputs are
             # sim-derived snapshot slices, so the events hold the
             # executor/resume byte-identity contract.
@@ -384,6 +392,7 @@ class CampaignDaemon:
             telemetry=telemetry,
             fault_report=fault_report,
             lifecycle=lifecycle.stats,
+            streams=[replace(s, fire=None, queue=None) for s in lifecycle.streams],
             detection_digest=monitor.detection_digest(),
             journal=journal,
             epochs_completed=len(reports),
@@ -393,8 +402,7 @@ class CampaignDaemon:
             stuffing_model=lifecycle.reuse_model,
             live_stats={
                 "engine": system.provider.batch_engine_stats(),
-                "queue": lifecycle.queue_stats(),
-                "stuffing_queue": lifecycle.stuffing_queue_stats(),
+                **lifecycle.queue_stats(),
                 "provider": system.provider.login_state_sizes(),
             },
         )

@@ -1,27 +1,20 @@
-"""Recurring service events: probes, lifecycle churn, dump ingestion.
+"""Recurring service events: probes, churn, ingestion, traffic, stuffing.
 
-Everything the managed deployment did *between* crawls, expressed as
-recurring :class:`~repro.sim.events.EventQueue` entries on the service
-world's clock instead of imperative loops:
+Everything the managed deployment did *between* crawls, as recurring
+:class:`~repro.sim.events.EventQueue` entries on the service world's
+clock: control-account re-login probes (the pipeline-liveness check of
+Section 4.2), incremental telemetry-dump ingestion into the
+:class:`~repro.core.monitor.CompromiseMonitor` (honoring the retention
+gap, pruning exported telemetry), honey-account churn (bind, freeze,
+recover, reset), an attacker stream over bound accounts, and benign
+traffic and credential-stuffing batches that flow through bounded
+backpressure queues into the provider's batch login engine.
 
-- **re-login probes** — the operator logs into every control account
-  on an interval; each probe must surface in a later telemetry dump
-  (the pipeline-liveness check of Section 4.2);
-- **telemetry ingestion** — provider dumps are pulled and folded into
-  the :class:`~repro.core.monitor.CompromiseMonitor` incrementally via
-  the shared :class:`~repro.core.monitor.DumpIngestion` step, honoring
-  the retention gap (dumps spaced beyond retention lose a window,
-  exactly as Figure 2's shaded gap) and pruning exported telemetry so
-  a multi-year daemon holds bounded state;
-- **account lifecycle churn** — honey accounts are bound to sites
-  (registered-and-burned), frozen by the provider's abuse desk,
-  recovered and rotated through support resets; a deterministic
-  attacker stream accesses bound accounts so detections flow end to
-  end through dumps into the monitor.
-
-Every action draws from its own :class:`~repro.util.rngtree.RngTree`
-stream under the service apparatus namespace and touches only the
-service world — never crawl-shard state — so the whole stream is a
+Each stream is one :class:`ServiceStream` record in
+:attr:`AccountLifecycle.streams`; every report of a stream derives from
+that record.  Every action draws from its own
+:class:`~repro.util.rngtree.RngTree` stream under the service apparatus
+namespace and touches only the service world, so the whole stream is a
 pure function of the :class:`~repro.service.scheduler.ServiceConfig`.
 That independence is what makes checkpoint/resume cheap: a resumed
 daemon replays these events from scratch and lands in the identical
@@ -30,6 +23,7 @@ state without consulting the checkpoint at all.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.attacker.breach import BreachMethod
@@ -63,7 +57,8 @@ _ATTACK_METHODS = (LoginMethod.IMAP, LoginMethod.POP3, LoginMethod.SMTP)
 
 @dataclass
 class LifecycleStats:
-    """Counters over the recurring service streams (merge-friendly)."""
+    """Counters over the recurring service streams; each int counter is
+    in exactly one :class:`ServiceStream`'s ``fields``."""
 
     probes: int = 0
     probe_logins: int = 0
@@ -85,13 +80,44 @@ class LifecycleStats:
     stuffing_successes: int = 0
     stuffing_site_hits: int = 0
     state_evictions: int = 0
-    #: Per-stream firing tallies, keyed by stream label
-    #: (``service.probe`` etc.): cumulative fire counts and the sim
-    #: instant of the most recent fire.  This is what answers "which
-    #: stream is starved" from ``serve --json`` or a flight snapshot
-    #: without reading the journal.
+    #: Per-stream firing tallies, keyed by stream label: cumulative
+    #: fire counts and the sim instant of the most recent fire (which
+    #: stream is starved, without reading the journal).
     stream_counts: dict[str, int] = field(default_factory=dict)
     stream_last_fired: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ServiceStream:
+    """One recurring service stream, and how each report shows it.
+
+    Installation, the flight snapshot's stream table, queue panels and
+    notables, the queue saturation rules, the daemon's live stats and
+    the CLI's totals and ``--json`` blocks all derive from these
+    records.  Where each queue sits in a snapshot predates the
+    registry; ``queue_path`` keeps it as data, so the pinned journal
+    and flight bytes hold.
+    """
+
+    label: str
+    #: Recurrence in sim seconds; 0 when the config turns the stream off.
+    interval: int
+    #: The action (None in a finished run's copy of the registry).
+    fire: Callable[[], None] | None
+    #: The :class:`LifecycleStats` counters the stream reports.
+    fields: tuple[str, ...] = ()
+    #: Service-totals rows: a label and a format over those counters.
+    totals: tuple[tuple[str, str], ...] = ()
+    #: The backpressure queue batches flow through (None while off).
+    queue: BackpressureQueue | None = None
+    #: Where the queue's stats sit in a flight snapshot: one key, or a
+    #: key and ``queue`` when that panel also carries the stream's
+    #: counters (their ``<key>_`` prefix dropped).  Joined with ``_``
+    #: it names the queue in live stats and in its saturation rule;
+    #: joined with ``.``, its refusal notable.  Empty without a queue.
+    queue_path: tuple[str, ...] = ()
+    #: Notables for counter growth: (kind, counter, attribute).
+    notables: tuple[tuple[str, str, str], ...] = ()
 
 
 class AccountLifecycle:
@@ -105,7 +131,6 @@ class AccountLifecycle:
         horizon: SimInstant,
     ):
         self.system = system
-        self.monitor = monitor
         self.config = config
         self.horizon = horizon
         self.stats = LifecycleStats()
@@ -118,31 +143,24 @@ class AccountLifecycle:
         self._log = system.obs.get_logger("service.lifecycle")
         self._bind_cursor = 0
         self.handles: list[RecurringEvent] = []
-        #: Stream label -> recurrence interval, filled by install().
-        self.stream_intervals: dict[str, int] = {}
         self._traffic_cursor = 0
-        self._traffic_gen: TrafficGenerator | None = None
         self._traffic_queue: BackpressureQueue | None = None
-        self._population: BenignPopulation | None = None
+        population = None
         if config.traffic_users > 0:
             # The benign haystack is part of the service world: its
             # registration (sim-shaping) happens exactly once, here,
             # before any stream fires.
-            self._population = BenignPopulation(config.traffic_users)
-            self._population.register_with(system.provider)
-            self._traffic_gen = TrafficGenerator(
-                TrafficProfile(
-                    users=config.traffic_users,
-                    logins_per_user_day=config.traffic_logins_per_day,
-                    mails_per_user_day=config.traffic_mails_per_day,
-                    window_seconds=config.traffic_window,
-                    batch_events=config.traffic_batch_events,
-                ),
-                self._population,
-                tree,
+            population = BenignPopulation(config.traffic_users)
+            population.register_with(system.provider)
+            profile = TrafficProfile(
+                users=config.traffic_users,
+                logins_per_user_day=config.traffic_logins_per_day,
+                mails_per_user_day=config.traffic_mails_per_day,
+                window_seconds=config.traffic_window,
+                batch_events=config.traffic_batch_events,
             )
+            self._traffic_gen = TrafficGenerator(profile, population, tree)
             self._traffic_queue = BackpressureQueue()
-        self._stuffing_engine: StuffingEngine | None = None
         self._stuffing_queue: BackpressureQueue | None = None
         self._stuffing_cursor = 0
         #: Membership/password knowledge the correlation analysis reuses.
@@ -161,61 +179,81 @@ class AccountLifecycle:
                 site_density=config.stuffing_site_density,
             )
             self._stuffing_engine = StuffingEngine(
-                system.provider,
-                self._population,
-                self.reuse_model,
-                tree,
+                system.provider, population, self.reuse_model, tree,
                 batch_events=config.stuffing_batch_events,
             )
             self._stuffing_queue = BackpressureQueue()
             self._stuffing_rng = tree.child("stuffing", "campaign").rng()
 
+        cfg = config
+        #: Every stream, in install order (which fixes event sequence
+        #: numbers); traffic and stuffing are listed while off too, so
+        #: their queue rules still report ``enabled: false``.
+        self.streams = [
+            ServiceStream("service.probe", cfg.probe_interval, self._probe,
+                          ("probes", "probe_logins"),
+                          (("Control-account probes", "{probes}"),)),
+            ServiceStream("service.ingest", cfg.dump_interval, self._ingest,
+                          ("dumps", "state_evictions"),
+                          (("Telemetry dumps ingested", "{dumps}"),)),
+            ServiceStream("service.bind", cfg.bind_interval, self._bind,
+                          ("binds", "bind_exhausted"),
+                          (("Accounts bound (service)", "{binds}"),)),
+            ServiceStream("service.freeze", cfg.freeze_interval, self._freeze,
+                          ("freezes", "recoveries"),
+                          (("Provider freezes / recoveries", "{freezes} / {recoveries}"),)),
+            ServiceStream("service.reset", cfg.reset_interval, self._reset,
+                          ("resets",), (("Password rotations", "{resets}"),)),
+            ServiceStream("service.attack", cfg.attack_interval, self._attack,
+                          ("attacks", "attack_successes"),
+                          (("Attacker accesses (successful)", "{attacks} ({attack_successes})"),)),
+            ServiceStream(
+                "service.traffic", cfg.traffic_window if cfg.traffic_users > 0 else 0,
+                self._traffic,
+                ("traffic_windows", "traffic_logins", "traffic_successes", "traffic_mails"),
+                (("Benign logins (successful)", "{traffic_logins} ({traffic_successes})"),
+                 ("Benign mails delivered", "{traffic_mails}")),
+                queue=self._traffic_queue, queue_path=("queue",),
+            ),
+            ServiceStream(
+                "service.stuffing", max(cfg.stuffing_interval, 0),
+                self._stuffing,
+                ("stuffing_waves", "stuffing_candidates", "stuffing_logins",
+                 "stuffing_successes", "stuffing_site_hits"),
+                (("Stuffing waves (candidates)", "{stuffing_waves} ({stuffing_candidates})"),
+                 ("Stuffed logins (successful)", "{stuffing_logins} ({stuffing_successes})"),
+                 ("Cross-site hits", "{stuffing_site_hits}")),
+                queue=self._stuffing_queue, queue_path=("stuffing", "queue"),
+                notables=(("stuffing.hits", "stuffing_successes", "accounts"),),
+            ),
+        ]
+
     # -- installation ------------------------------------------------------
 
+    @property
+    def stream_intervals(self) -> dict[str, int]:
+        """Label -> recurrence interval of every stream that is on."""
+        return {s.label: s.interval for s in self.streams if s.interval}
+
     def install(self) -> list[RecurringEvent]:
-        """Schedule every recurring stream up to the horizon."""
-        cfg = self.config
-        queue = self.system.queue
-        start = cfg.start
-        streams = [
-            (cfg.probe_interval, "service.probe", self._probe),
-            (cfg.dump_interval, "service.ingest", self._ingest),
-            (cfg.bind_interval, "service.bind", self._bind),
-            (cfg.freeze_interval, "service.freeze", self._freeze),
-            (cfg.reset_interval, "service.reset", self._reset),
-            (cfg.attack_interval, "service.attack", self._attack),
-        ]
-        if cfg.traffic_users > 0:
-            streams.append((cfg.traffic_window, "service.traffic", self._traffic))
-        if self._stuffing_engine is not None:
-            streams.append(
-                (cfg.stuffing_interval, "service.stuffing", self._stuffing)
-            )
-        for interval, label, action in streams:
-            self.stream_intervals[label] = interval
+        """Schedule every stream that is on, up to the horizon."""
+        for stream in self.streams:
+            if not stream.interval:
+                continue
             # Seed the tally at zero so an installed-but-starved
             # stream still shows up in `serve --json` and snapshots.
-            self.stats.stream_counts.setdefault(label, 0)
-            self.handles.append(
-                queue.schedule_recurring(
-                    start + interval,
-                    interval,
-                    label,
-                    self._tracked(label, action),
-                    until=self.horizon,
-                )
-            )
+            self.stats.stream_counts.setdefault(stream.label, 0)
+            self.handles.append(self.system.queue.schedule_recurring(
+                self.config.start + stream.interval, stream.interval, stream.label,
+                self._tracked(stream.label, stream.fire), until=self.horizon,
+            ))
         return self.handles
 
     def _tracked(self, label: str, action):
-        """Wrap a stream action with firing bookkeeping.
-
-        Records the cumulative fire count and last-fired sim instant
-        (starvation telemetry), and observes the inter-fire gap into a
-        ``stream.<label>.gap_seconds`` histogram.  The event queue
-        fires streams at deterministic sim instants, so everything
-        recorded here is executor-invariant.
-        """
+        """Wrap a stream action with firing bookkeeping: fire count,
+        last-fired sim instant and a ``stream.<label>.gap_seconds``
+        histogram, all executor-invariant (streams fire at
+        deterministic sim instants)."""
         stats = self.stats
         metrics = self.system.obs.metrics
         clock = self.system.clock
@@ -224,28 +262,21 @@ class AccountLifecycle:
             now = clock.now()
             previous = stats.stream_last_fired.get(label)
             if previous is not None:
-                metrics.observe(
-                    f"stream.{label}.gap_seconds",
-                    now - previous,
-                    bounds=STREAM_GAP_BOUNDS,
-                )
+                metrics.observe(f"stream.{label}.gap_seconds", now - previous,
+                                bounds=STREAM_GAP_BOUNDS)
             stats.stream_counts[label] = stats.stream_counts.get(label, 0) + 1
             stats.stream_last_fired[label] = now
             action()
 
         return fire
 
-    def queue_stats(self) -> dict | None:
-        """Backpressure-queue accounting, or None with traffic off."""
-        if self._traffic_queue is None:
-            return None
-        return self._traffic_queue.stats()
-
-    def stuffing_queue_stats(self) -> dict | None:
-        """The stuffing stream's own queue, or None with stuffing off."""
-        if self._stuffing_queue is None:
-            return None
-        return self._stuffing_queue.stats()
+    def queue_stats(self) -> dict[str, dict | None]:
+        """Each queued stream's queue accounting (None while off), by name."""
+        return {
+            "_".join(s.queue_path): None if s.queue is None else s.queue.stats()
+            for s in self.streams
+            if s.queue_path
+        }
 
     def cancel_all(self) -> int:
         """Revoke every still-pending recurring stream (daemon stop)."""
@@ -253,12 +284,17 @@ class AccountLifecycle:
 
     # -- the streams -------------------------------------------------------
 
+    def _count(self, **amounts: int) -> None:
+        """Add to :class:`LifecycleStats` counters and their journaled
+        ``service.<counter>`` twins."""
+        for name, amount in amounts.items():
+            setattr(self.stats, name, getattr(self.stats, name) + amount)
+            self.system.obs.count(f"service.{name}", amount)
+
     def _probe(self) -> None:
         """Operator re-login over every control account."""
-        succeeded = self.system.login_control_accounts()
         self.stats.probes += 1
-        self.stats.probe_logins += succeeded
-        self.system.obs.count("service.probe_logins", succeeded)
+        self._count(probe_logins=self.system.login_control_accounts())
 
     def _ingest(self) -> None:
         """Pull the provider dump into the monitor, incrementally."""
@@ -268,18 +304,15 @@ class AccountLifecycle:
         # Batch-review housekeeping rides the ingestion cadence: drop
         # throttle/IP-window state whose horizons have fully expired.
         # Decision-invariant — without it a multi-year daemon's
-        # evidence log and hot set grow with every account that ever
-        # logged in, and its throttle entries with every account that
-        # ever failed a password.
+        # evidence log, hot set and throttle entries grow with every
+        # account that ever logged in or failed a password.
         evicted_throttle, evicted_windows = self.system.provider.evict_expired()
         self.stats.state_evictions += evicted_throttle + evicted_windows
 
     def _traffic(self) -> None:
         """One benign-traffic window: the haystack logs in and gets mail.
 
-        The generator's batches flow through the bounded backpressure
-        queue into the provider's batch login engine.  All events in
-        the window occur at its close (now).
+        All events in the window occur at its close (now).
         """
         window = self._traffic_gen.window(
             self._traffic_cursor, self.system.clock.now()
@@ -294,15 +327,9 @@ class AccountLifecycle:
 
         self._traffic_queue.pump(iter(window.batches), consume)
         mails = provider.deliver_background(window.mail_rows)
-
         self.stats.traffic_windows += 1
-        self.stats.traffic_logins += window.login_count
-        self.stats.traffic_successes += successes
-        self.stats.traffic_mails += mails
-        obs = self.system.obs
-        obs.count("service.traffic_logins", window.login_count)
-        obs.count("service.traffic_successes", successes)
-        obs.count("service.traffic_mails", mails)
+        self._count(traffic_logins=window.login_count,
+                    traffic_successes=successes, traffic_mails=mails)
 
     def _stuffing(self) -> None:
         """One stuffing wave: breach a site, replay the haul at scale.
@@ -310,21 +337,15 @@ class AccountLifecycle:
         The campaign stream draws — in documented order: victim rank,
         acquisition coin, then target ranks — from its own namespaced
         RNG, breaches the victim against the benign population, and
-        fans the corpus out through the stuffing engine: provider
-        candidates flow through the wave's backpressure queue into the
-        batch login engine, cross-site targets are resolved from the
-        reuse model directly.
+        fans the corpus out through the stuffing engine; cross-site
+        targets are resolved from the reuse model directly.
         """
         cfg = self.config
         rng = self._stuffing_rng
         wave = self._stuffing_cursor
         self._stuffing_cursor += 1
         rank = 1 + rng.randrange(cfg.population_size)
-        method = (
-            BreachMethod.DB_DUMP
-            if rng.random() < 0.5
-            else BreachMethod.ONLINE_CAPTURE
-        )
+        method = BreachMethod.DB_DUMP if rng.random() < 0.5 else BreachMethod.ONLINE_CAPTURE
         targets: list[int] = []
         while len(targets) < min(cfg.stuffing_targets, cfg.population_size - 1):
             candidate = 1 + rng.randrange(cfg.population_size)
@@ -332,24 +353,18 @@ class AccountLifecycle:
                 targets.append(candidate)
         host = self.system.population.spec_at_rank(rank).host
 
-        provider = self.system.provider
         # Housekeeping before the wave: drop the throttle entries the
         # previous wave's failures left (waves are spaced past the
         # brute-force window and lockout), so ``throttle_rows`` — which
         # the health rule and the flight snapshots read — counts this
         # wave's failures, not every account ever stuffed.  Decision-
         # invariant.
-        evicted_throttle, evicted_windows = provider.evict_expired()
+        evicted_throttle, evicted_windows = self.system.provider.evict_expired()
         self.stats.state_evictions += evicted_throttle + evicted_windows
 
         corpus = build_benign_corpus(
-            self.reuse_model,
-            cfg.traffic_users,
-            rank,
-            host,
-            method,
-            wave=wave,
-            crack_rate=cfg.stuffing_crack_rate,
+            self.reuse_model, cfg.traffic_users, rank, host, method,
+            wave=wave, crack_rate=cfg.stuffing_crack_rate,
         )
         engine = self._stuffing_engine
         plan = engine.plan_wave(corpus, targets=tuple(targets))
@@ -363,32 +378,21 @@ class AccountLifecycle:
         result = engine.collect(plan, results)
         self.stuffing_results.append(result)
 
-        site_hits = sum(t.hits for t in result.site_targets)
-        stats = self.stats
-        stats.stuffing_waves += 1
-        stats.stuffing_candidates += result.candidates
-        stats.stuffing_logins += result.attempts
-        stats.stuffing_successes += result.successes
-        stats.stuffing_site_hits += site_hits
-        obs = self.system.obs
-        obs.count("service.stuffing_logins", result.attempts)
-        obs.count("service.stuffing_successes", result.successes)
-        obs.count("service.stuffing_site_hits", site_hits)
+        self.stats.stuffing_waves += 1
+        self.stats.stuffing_candidates += result.candidates
+        self._count(stuffing_logins=result.attempts,
+                    stuffing_successes=result.successes,
+                    stuffing_site_hits=sum(t.hits for t in result.site_targets))
         self._log.info(
-            "stuffing wave dispatched",
-            wave=wave,
-            host=host,
-            method=method.value,
-            candidates=result.candidates,
-            successes=result.successes,
+            "stuffing wave dispatched", wave=wave, host=host, method=method.value,
+            candidates=result.candidates, successes=result.successes,
         )
 
     def _bind(self) -> None:
         """Bind one honey account to the next service-probed site.
 
         The continuous analogue of a registration that exposed
-        credentials: an identity is checked out for a deterministic
-        site and burned, making any later provider login to it
+        credentials: the burned identity's later logins are
         attributable to exactly that site.
         """
         rank = 1 + (self._bind_cursor % self.config.population_size)
@@ -403,8 +407,7 @@ class AccountLifecycle:
             self._log.info("bind skipped: pool exhausted", host=host)
             return
         self.system.pool.burn(identity.identity_id)
-        self.stats.binds += 1
-        self.system.obs.count("service.binds")
+        self._count(binds=1)
         self._log.info("account bound", host=host, local=identity.email_local)
 
     def _bound_locals(self) -> list[str]:
@@ -422,8 +425,7 @@ class AccountLifecycle:
         local = locals_[self._freeze_rng.randrange(len(locals_))]
         if not self.system.provider.support_freeze(local):
             return
-        self.stats.freezes += 1
-        self.system.obs.count("service.freezes")
+        self._count(freezes=1)
         self._log.info("account frozen", local=local)
         # The operator notices (the next probe/dump cycle) and recovers
         # the account through the support desk after a delay.
@@ -436,8 +438,7 @@ class AccountLifecycle:
 
     def _recover(self, local: str, new_password: str) -> None:
         if self.system.provider.support_reset(local, new_password):
-            self.stats.recoveries += 1
-            self.system.obs.count("service.recoveries")
+            self._count(recoveries=1)
             self._log.info("account recovered", local=local)
 
     def _reset(self) -> None:
@@ -448,8 +449,7 @@ class AccountLifecycle:
         local = locals_[self._reset_rng.randrange(len(locals_))]
         new_password = f"Rot@{self._reset_rng.randrange(10**8):08d}"
         if self.system.provider.support_reset(local, new_password):
-            self.stats.resets += 1
-            self.system.obs.count("service.resets")
+            self._count(resets=1)
             self._log.info("password rotated", local=local)
 
     def _attack(self) -> None:
@@ -469,9 +469,6 @@ class AccountLifecycle:
         receipt = self.system.provider.attempt_logins(
             LoginBatch.single(identity.email_local, identity.password, ip, method)
         )
-        succeeded = receipt.results[0] == 0
-        self.stats.attacks += 1
-        self.system.obs.count("service.attacks")
-        if succeeded:
-            self.stats.attack_successes += 1
-            self.system.obs.count("service.attack_successes")
+        self._count(attacks=1)
+        if receipt.results[0] == 0:
+            self._count(attack_successes=1)

@@ -101,6 +101,13 @@ class ServiceConfig:
             raise ValueError("epoch_length must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        # A stream whose interval is 0 is off; only the stuffing and
+        # (via traffic_users) traffic streams may be turned off.
+        for name in ("probe_interval", "dump_interval", "bind_interval",
+                     "freeze_interval", "reset_interval", "attack_interval",
+                     "traffic_window"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("traffic_users", "traffic_logins_per_day",
                      "traffic_mails_per_day", "stuffing_targets"):
             if not getattr(self, name) >= 0:

@@ -228,9 +228,6 @@ class WorldStore:
                 self._readers[table] = reader
             return reader
 
-    def has_table(self, table: str) -> bool:
-        return table in self.meta.get("tables", {})
-
     def row_count(self, table: str) -> int:
         return self._reader(table).row_count
 

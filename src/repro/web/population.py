@@ -136,18 +136,6 @@ class InternetPopulation:
             entries.append(RankedSite(rank=rank, host=spec.host, url=f"http://{spec.host}/"))
         return entries
 
-    def entries_for_ranks(self, ranks: list[int]) -> list[RankedSite]:
-        """Ranked entries for an arbitrary rank subset (shard slices).
-
-        Specs are generated per rank from the substrate tree, so any
-        shard asking for the same ranks sees the same hosts.
-        """
-        entries = []
-        for rank in ranks:
-            spec = self.spec_at_rank(rank)
-            entries.append(RankedSite(rank=rank, host=spec.host, url=f"http://{spec.host}/"))
-        return entries
-
     def quantcast_top(self, n: int) -> list[RankedSite]:
         """A second provider's noisy re-ranking of the same population.
 

@@ -1,11 +1,13 @@
 """The `repro serve` CLI surface: epochs, checkpoints, resume, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.obs.journal import read_journal
+from repro.service.lifecycle import LifecycleStats
 
 SERVE_ARGS = [
     "serve", "--top", "12", "--population", "300", "--shards", "2",
@@ -40,6 +42,51 @@ class TestServe:
         assert payload["interrupted"] is False
         assert payload["lifecycle"]["probes"] > 0
         assert payload["stats"]["attempts"] > 0
+
+    def test_json_lifecycle_lists_every_counter(self, tmp_path):
+        summary_path = tmp_path / "summary.json"
+        assert main(SERVE_ARGS + ["--json", str(summary_path)]) == 0
+        lifecycle = json.loads(summary_path.read_text())["lifecycle"]
+        counters = {f.name for f in dataclasses.fields(LifecycleStats)
+                    if f.type == "int"}
+        assert set(lifecycle) == counters
+        assert "bind_exhausted" in lifecycle
+
+    def test_totals_rows_keep_their_labels(self, capsys):
+        assert main(SERVE_ARGS + ["--traffic-users", "40",
+                                  "--stuffing-interval-days", "4"]) == 0
+        out = capsys.readouterr().out
+        totals = out[out.index("Service totals"):]
+        for label in (
+            "Control-account probes", "Telemetry dumps ingested",
+            "Accounts bound (service)", "Provider freezes / recoveries",
+            "Password rotations", "Attacker accesses (successful)",
+            "Benign logins (successful)", "Benign mails delivered",
+            "Stuffing waves (candidates)", "Stuffed logins (successful)",
+            "Cross-site hits", "Sites detected", "Detection digest",
+        ):
+            assert label in totals, label
+
+    def test_every_queue_reaches_the_dashboard_and_the_report(
+        self, tmp_path, capsys
+    ):
+        flight = tmp_path / "flight.jsonl"
+        assert main(SERVE_ARGS + [
+            "--traffic-users", "40", "--stuffing-interval-days", "4",
+            "--flight", str(flight), "--obs-out", str(tmp_path / "j.jsonl"),
+        ]) == 0
+        report = capsys.readouterr().out
+        assert main(["obs", "top", str(flight), "--once"]) == 0
+        top = capsys.readouterr().out
+        for name in ("queue", "stuffing queue"):
+            assert f"{name} depth/peak" in top, name
+            assert f"{name} refused" in top, name
+        queue_sections = [
+            section for section in report.split("\n\n")
+            if "Backpressure queue (live process, not journaled)" in section
+        ]
+        assert len(queue_sections) == 2
+        assert "stuffing queue" in queue_sections[1]
 
     def test_json_summary_reports_per_stream_tallies(self, tmp_path):
         summary_path = tmp_path / "summary.json"

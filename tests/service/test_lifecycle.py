@@ -1,10 +1,14 @@
 """Tests for the recurring service streams (probes, churn, ingestion)."""
 
+import dataclasses
+
+import pytest
+
 from repro.core.monitor import CompromiseMonitor
 from repro.core.system import TripwireSystem
 from repro.email_provider.accounts import AccountState
 from repro.identity.passwords import PasswordClass
-from repro.service.lifecycle import AccountLifecycle
+from repro.service.lifecycle import AccountLifecycle, LifecycleStats
 from repro.service.scheduler import EpochScheduler, ServiceConfig
 from repro.util.timeutil import DAY, STUDY_START
 
@@ -243,7 +247,7 @@ class TestStreamTracking:
 
     def test_queue_stats_none_without_traffic(self):
         _system, _monitor, lifecycle, _config = make_world()
-        assert lifecycle.queue_stats() is None
+        assert lifecycle.queue_stats() == {"queue": None, "stuffing_queue": None}
 
     def test_queue_stats_report_the_pump_accounting(self):
         system, _monitor, lifecycle, _config = make_world(
@@ -251,8 +255,50 @@ class TestStreamTracking:
         )
         lifecycle.install()
         system.queue.run_until(lifecycle.horizon)
-        stats = lifecycle.queue_stats()
+        stats = lifecycle.queue_stats()["queue"]
         assert stats["offered"] > 0
         assert stats["taken"] == stats["offered"]
         assert stats["depth"] == 0
         assert stats["peak_depth"] >= 1
+
+
+class TestStreamRegistry:
+    """One ServiceStream record per stream drives every report of it."""
+
+    def test_install_order_and_off_streams(self):
+        _system, _monitor, lifecycle, _config = make_world()
+        assert [s.label for s in lifecycle.streams] == [
+            "service.probe", "service.ingest", "service.bind",
+            "service.freeze", "service.reset", "service.attack",
+            "service.traffic", "service.stuffing",
+        ]
+        off = [s.label for s in lifecycle.streams if not s.interval]
+        assert off == ["service.traffic", "service.stuffing"]
+        assert [s.queue_path for s in lifecycle.streams if s.queue_path] == [
+            ("queue",), ("stuffing", "queue"),
+        ]
+        handles = lifecycle.install()
+        assert [h.label for h in handles] == list(lifecycle.stream_intervals)
+
+    def test_every_counter_belongs_to_exactly_one_stream(self):
+        _system, _monitor, lifecycle, _config = make_world()
+        claimed = [name for s in lifecycle.streams for name in s.fields]
+        counters = [f.name for f in dataclasses.fields(LifecycleStats)
+                    if f.type == "int"]
+        assert len(counters) == 20
+        assert sorted(claimed) == sorted(counters)
+
+    def test_totals_format_only_the_stream_counters(self):
+        _system, _monitor, lifecycle, _config = make_world()
+        for stream in lifecycle.streams:
+            for _label, value in stream.totals:
+                # A format naming another stream's counter raises here.
+                value.format_map(dict.fromkeys(stream.fields, 0))
+
+    @pytest.mark.parametrize("name", [
+        "probe_interval", "dump_interval", "bind_interval", "freeze_interval",
+        "reset_interval", "attack_interval", "traffic_window",
+    ])
+    def test_zero_interval_is_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            ServiceConfig(**{name: 0})
