@@ -3,72 +3,20 @@
 Section 7.2 names multi-language support as "the single greatest
 improvement to the crawler's coverage", and §6.2.2 suggests search
 engines could locate registration pages the crawler cannot.  Both are
-implemented here; this example crawls the same ranked batch three ways
-and shows the coverage gained at each step.
+implemented; this example crawls the same ranked batch three ways and
+shows the coverage gained at each step.
 
 Run:  python examples/crawler_extensions.py [sites]
 """
 
 import sys
-from collections import Counter
 
-from repro.core.campaign import RegistrationCampaign
-from repro.core.system import TripwireSystem
-from repro.crawler.engine import CrawlerConfig
-from repro.identity.passwords import PasswordClass
-from repro.search import SearchEngine
-from repro.util.tables import render_table
-
-
-def crawl_batch(sites: int, languages: tuple[str, ...], use_search: bool):
-    """One campaign over the top-``sites`` batch; returns statistics."""
-    config = CrawlerConfig(system_error_rate=0.0,
-                           enabled_languages=frozenset(languages))
-    system = TripwireSystem(seed=606, population_size=sites,
-                            crawler_config=config)
-    if use_search:
-        system.crawler._search = SearchEngine(system.transport)
-    system.provision_identities(sites + 50, PasswordClass.HARD)
-    system.provision_identities(sites // 2 + 25, PasswordClass.EASY)
-    campaign = RegistrationCampaign(system, second_hard_probability=0.0)
-    campaign.run_batch(system.population.alexa_top(sites))
-
-    codes = Counter(a.outcome.code.value for a in campaign.attempts)
-    valid_sites = set()
-    for attempt in campaign.exposed_attempts():
-        site = system.population.site_by_host(attempt.site_host)
-        if site and site.check_credentials(attempt.identity.email_address,
-                                           attempt.identity.password):
-            valid_sites.add(attempt.site_host)
-    return codes, len(valid_sites)
+from repro.analysis.extensions import coverage_sweep, render_coverage
 
 
 def main() -> None:
     sites = int(sys.argv[1]) if len(sys.argv) > 1 else 250
-    configurations = [
-        ("baseline (paper pilot)", (), False),
-        ("+ language packs de/es/fr", ("de", "es", "fr"), False),
-        ("+ packs + search engine", ("de", "es", "fr"), True),
-    ]
-    rows = []
-    for name, languages, use_search in configurations:
-        codes, valid = crawl_batch(sites, languages, use_search)
-        rows.append([
-            name,
-            codes.get("not_english", 0),
-            codes.get("no_registration_found", 0),
-            codes.get("ok_submission", 0),
-            valid,
-        ])
-        print(f"ran: {name}")
-    print()
-    print(render_table(
-        ["Configuration", "Language skips", "No form found",
-         "OK submissions", "Sites w/ valid account"],
-        rows,
-        title=f"Crawler-extension coverage over the top-{sites} batch",
-        align_right=(1, 2, 3, 4),
-    ))
+    print(render_coverage(coverage_sweep(sites), sites))
     print("\nThe paper (§7.2): non-English sites are >40% of the ranking and "
           "\nentirely unreachable to the English-only pilot crawler; search "
           "\nengines can recover the §6.2.2 'registration page not obvious' misses.")

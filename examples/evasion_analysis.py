@@ -1,98 +1,21 @@
-"""Attacker evasion strategies vs detection odds (Section 7.3).
+"""Attacker credential sampling vs detection odds (Section 7.3).
 
-Two knobs an informed attacker controls:
-
-1. **Credential sampling** — test only a fraction of the stolen haul at
-   the email provider.  Detection odds fall roughly linearly with the
-   fraction tested ("the odds of detection are inversely proportional
-   to the percentage of email accounts tested").
-2. **Provider avoidance** — skip the monitored provider entirely.
-   Detection drops to zero, but so does the most valuable slice of the
-   haul (major-provider accounts dominate breached credential dumps).
+An informed attacker can test only a fraction of the stolen haul at the
+email provider.  Detection odds fall roughly linearly with the fraction
+tested ("the odds of detection are inversely proportional to the
+percentage of email accounts tested").  Skipping the monitored provider
+altogether evades detection, but forfeits the most valuable slice of
+the haul; Ablation C measures that on a whole pilot
+(``ScenarioConfig.avoided_domains``).
 
 Run:  python examples/evasion_analysis.py
 """
 
-from repro.attacker.botnet import BotnetProxyNetwork
-from repro.attacker.breach import BreachEvent, BreachMethod, execute_breach
-from repro.attacker.checker import CredentialChecker
-from repro.attacker.cracking import crack_records
-from repro.attacker.profiles import CheckerArchetype, CheckerProfile
-from repro.core.campaign import RegistrationCampaign
-from repro.core.monitor import CompromiseMonitor
-from repro.core.system import TripwireSystem
-from repro.identity.passwords import PasswordClass
-from repro.util.rngtree import RngTree
-from repro.util.tables import render_table
-from repro.util.timeutil import DAY
-
-
-def detection_outcome(test_fraction: float, avoid_provider: bool, seed: int) -> tuple[bool, int]:
-    """One trial: was the breach detected, and how many logins occurred?"""
-    system = TripwireSystem(seed=seed, population_size=30)
-    system.crawler.config.system_error_rate = 0.0
-    system.provision_identities(30, PasswordClass.HARD)
-    system.provision_identities(15, PasswordClass.EASY)
-    campaign = RegistrationCampaign(system)
-    campaign.run_batch(system.population.alexa_top(20))
-
-    target = None
-    for attempt in campaign.exposed_attempts():
-        site = system.population.site_by_host(attempt.site_host)
-        if site and site.accounts.lookup(attempt.identity.email_address):
-            target = site
-            break
-    if target is None:
-        return False, 0
-
-    target.seed_organic_accounts(60)
-    breach_time = system.clock.now() + 5 * DAY
-    stolen = execute_breach(
-        target, BreachEvent(target.spec.host, breach_time, BreachMethod.ONLINE_CAPTURE))
-    cracked = crack_records(stolen, breach_time)
-
-    avoided = frozenset({system.provider.domain}) if avoid_provider else frozenset()
-    botnet = BotnetProxyNetwork(system.whois, system.tree.child("botnet").rng())
-    checker = CredentialChecker(system.provider, botnet, system.queue,
-                                RngTree(seed).child("checker").rng(),
-                                test_fraction=test_fraction,
-                                avoided_domains=avoided)
-    profile = CheckerProfile(archetype=CheckerArchetype.VERIFIER,
-                             initial_delay_days=3, session_count=1,
-                             period_days=5, multi_ip_burst_prob=0.0,
-                             hammer_prob=0.0)
-    checker.launch(cracked, profile)
-
-    monitor = CompromiseMonitor(system.pool, system.control_locals,
-                                system.provider.domain)
-    for _ in range(2):
-        system.queue.run_until(system.clock.now() + 30 * DAY)
-        monitor.ingest_dump(system.provider.collect_login_dump())
-    return target.spec.host in monitor.detections, checker.total_login_attempts
+from repro.analysis.evasion import TRIALS, render_sampling_sweep, sampling_sweep
 
 
 def main() -> None:
-    trials = 30
-    rows = []
-    for fraction in (1.0, 0.5, 0.25, 0.1, 0.0):
-        detected = sum(
-            detection_outcome(fraction, avoid_provider=False, seed=1000 + t)[0]
-            for t in range(trials)
-        )
-        rows.append([f"test {fraction:.0%} of haul", f"{detected}/{trials}",
-                     f"{detected / trials:.0%}"])
-    detected_avoiding = sum(
-        detection_outcome(1.0, avoid_provider=True, seed=2000 + t)[0]
-        for t in range(trials)
-    )
-    rows.append(["avoid the monitored provider", f"{detected_avoiding}/{trials}",
-                 f"{detected_avoiding / trials:.0%}"])
-    print(render_table(
-        ["Attacker strategy", "Breaches detected", "Detection rate"], rows,
-        title="Section 7.3: evasion strategy vs Tripwire detection odds",
-    ))
-    print("\nNote: avoiding the provider costs the attacker the most\n"
-          "monetizable accounts in the haul — evasion is not free.")
+    print(render_sampling_sweep(sampling_sweep(), TRIALS))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Analysis: builders for every table and figure in the evaluation.
 
 Each module consumes a :class:`repro.core.scenario.PilotResult` (or the
-relevant sub-objects) and produces (a) structured rows for tests and
-benches, and (b) a plain-text rendering in the paper's layout.
+relevant sub-objects) and produces (a) structured rows for tests, and
+(b) a plain-text rendering in the paper's layout.  ``evasion`` and
+``extensions`` run their own seeded worlds: the §7.3 sampling sweep
+and the §7.2 crawler-extension coverage study.
 """
 
 from repro.analysis.table1 import build_table1, render_table1

@@ -1,13 +1,15 @@
-"""Ablation B: detection probability vs attacker credential sampling.
+"""Section 7.3: detection odds when the attacker samples the haul.
 
-Section 7.3: "The odds of detection are inversely proportional to the
-percentage of email accounts tested."  The sweep breaches the same site
-across many seeded trials while the attacker tests only a fraction of
-the recovered haul, and reports the measured detection rate per
-fraction.
+"The odds of detection are inversely proportional to the percentage of
+email accounts tested."  One trial builds a small world, registers
+Tripwire accounts, breaches a site that holds one, and lets a
+credential checker test only a fraction of the cracked haul at the
+monitored provider.  The sweep repeats the trial over seeded worlds for
+each fraction and counts the breaches Tripwire detects.  This is
+Ablation B; ``repro evasion`` prints the same sweep.
 """
 
-import pytest
+from __future__ import annotations
 
 from repro.attacker.botnet import BotnetProxyNetwork
 from repro.attacker.breach import BreachEvent, BreachMethod, execute_breach
@@ -22,11 +24,15 @@ from repro.util.rngtree import RngTree
 from repro.util.tables import render_table
 from repro.util.timeutil import DAY
 
+#: Fractions of the haul the attacker tests, largest first.
 FRACTIONS = (1.0, 0.5, 0.25, 0.1)
+#: Seeded worlds per fraction.
 TRIALS = 25
 
 
-def one_trial(test_fraction: float, seed: int) -> bool:
+def detection_trial(test_fraction: float, seed: int) -> bool:
+    """One breach in a 25-site world: does Tripwire detect it when the
+    checker tests ``test_fraction`` of the cracked credentials?"""
     system = TripwireSystem(seed=seed, population_size=25)
     system.crawler.config.system_error_rate = 0.0
     system.provision_identities(25, PasswordClass.HARD)
@@ -44,8 +50,7 @@ def one_trial(test_fraction: float, seed: int) -> bool:
     target.seed_organic_accounts(40)
     when = system.clock.now() + 5 * DAY
     cracked = crack_records(
-        execute_breach(target, BreachEvent(target.spec.host, when,
-                                           BreachMethod.ONLINE_CAPTURE)),
+        execute_breach(target, BreachEvent(target.spec.host, when, BreachMethod.ONLINE_CAPTURE)),
         when,
     )
     botnet = BotnetProxyNetwork(system.whois, system.tree.child("botnet").rng())
@@ -57,33 +62,29 @@ def one_trial(test_fraction: float, seed: int) -> bool:
                              period_days=5, multi_ip_burst_prob=0.0,
                              hammer_prob=0.0)
     checker.launch(cracked, profile)
-    monitor = CompromiseMonitor(system.pool, system.control_locals,
-                                system.provider.domain)
+    monitor = CompromiseMonitor(system.pool, system.control_locals, system.provider.domain)
     for _ in range(2):
         system.queue.run_until(system.clock.now() + 30 * DAY)
         monitor.ingest_dump(system.provider.collect_login_dump())
     return target.spec.host in monitor.detections
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_attacker_sampling(benchmark, record):
-    def sweep():
-        return {
-            fraction: sum(one_trial(fraction, 7000 + 31 * t) for t in range(TRIALS))
-            for fraction in FRACTIONS
-        }
+def sampling_sweep(trials: int = TRIALS) -> dict[float, int]:
+    """Detected breaches per fraction in FRACTIONS, over the worlds
+    seeded 7000, 7031, 7062, ... (``trials`` of them)."""
+    return {
+        fraction: sum(detection_trial(fraction, 7000 + 31 * t) for t in range(trials))
+        for fraction in FRACTIONS
+    }
 
-    detected = benchmark.pedantic(sweep, rounds=1, iterations=1)
+
+def render_sampling_sweep(detected: dict[float, int], trials: int) -> str:
+    """The sweep as Ablation B's table."""
     rows = [
-        [f"{fraction:.0%}", f"{count}/{TRIALS}", f"{count / TRIALS:.0%}"]
+        [f"{fraction:.0%}", f"{count}/{trials}", f"{count / trials:.0%}"]
         for fraction, count in detected.items()
     ]
-    record("ablation_attacker_sampling", render_table(
+    return render_table(
         ["Haul fraction tested", "Detected", "Rate"], rows,
         title="Ablation B: detection odds vs attacker sampling rate (§7.3)",
-    ))
-
-    # Detection declines as the attacker samples less (allowing noise).
-    assert detected[1.0] >= detected[0.25]
-    assert detected[1.0] >= detected[0.1]
-    assert detected[1.0] >= TRIALS * 0.5
+    )

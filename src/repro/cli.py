@@ -3,7 +3,7 @@
     python -m repro pilot --scale 0.1 --seed 2017
     python -m repro survey --population 1500
     python -m repro demo
-    python -m repro evasion --trials 20
+    python -m repro evasion
     python -m repro campaign --obs-out journal.jsonl
     python -m repro serve --epochs 4 --checkpoint state.ckpt
     python -m repro serve --resume state.ckpt --obs-out journal.jsonl
@@ -219,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     commands.add_parser("demo", help="quickstart: one breach, one detection")
 
     evasion = commands.add_parser("evasion", help="attacker evasion sweep (§7.3)")
-    evasion.add_argument("--trials", type=int, default=20)
+    evasion.add_argument("--trials", type=int, default=25,
+                         help="seeded worlds per haul fraction (default 25)")
     return parser
 
 
@@ -683,30 +684,9 @@ def _run_demo(_args: argparse.Namespace) -> int:
 
 
 def _run_evasion(args: argparse.Namespace) -> int:
-    import importlib
+    from repro.analysis.evasion import render_sampling_sweep, sampling_sweep
 
-    from repro.util.tables import render_table
-
-    examples = _examples_dir()
-    if examples is None:
-        print("examples/ directory not found; run from a source checkout",
-              file=sys.stderr)
-        return 1
-    sys.path.insert(0, str(examples))
-    try:
-        evasion = importlib.import_module("evasion_analysis")
-    finally:
-        sys.path.pop(0)
-    rows = []
-    for fraction in (1.0, 0.5, 0.25, 0.1):
-        detected = sum(
-            evasion.detection_outcome(fraction, avoid_provider=False, seed=5000 + t)[0]
-            for t in range(args.trials)
-        )
-        rows.append([f"{fraction:.0%}", f"{detected}/{args.trials}",
-                     f"{detected / args.trials:.0%}"])
-    print(render_table(["Haul fraction tested", "Detected", "Rate"], rows,
-                       title="Evasion sweep (§7.3)"))
+    print(render_sampling_sweep(sampling_sweep(args.trials), args.trials))
     return 0
 
 

@@ -9,7 +9,7 @@ and the mail server is told to expect registration mail.
 
 The hard-then-easy ordering is the bias the paper flags in §6.1.2 —
 :class:`RegistrationPolicy` exposes it (and the alternatives a future
-deployment should prefer) for the ablation bench.
+deployment should prefer) for Ablation A.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ class AccountStatus(enum.Enum):
 
 
 #: Paper-reported manual-login success rates per category, for
-#: side-by-side comparison in the Table 1 bench.
+#: side-by-side comparison in Table 1.
 PAPER_SUCCESS_RATES = {
     AccountStatus.EMAIL_VERIFIED: 0.98,
     AccountStatus.EMAIL_RECEIVED: 0.82,

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for the analysis and benchmark output.
+"""Plain-text table rendering for the analysis output.
 
 The paper's evaluation is delivered as tables and figures; the analysis
 modules emit rows of cells and this renderer turns them into aligned

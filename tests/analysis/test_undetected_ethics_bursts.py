@@ -1,4 +1,8 @@
-"""Unit tests for the §6.2 miss taxonomy, §3 ethics audit and §6.4.2 bursts."""
+"""Tests for the §6.2 miss taxonomy, §3 ethics audit and §6.4.2 bursts."""
+
+from collections import Counter
+
+import pytest
 
 from repro.analysis.bursts import (
     analyze_account,
@@ -13,6 +17,7 @@ from repro.analysis.undetected import (
     render_miss_report,
 )
 from repro.core.monitor import AttributedLogin
+from repro.core.scenario import PilotScenario, ScenarioConfig
 from repro.email_provider.telemetry import LoginEvent, LoginMethod
 from repro.identity.passwords import PasswordClass
 from repro.net.ipaddr import IPv4Address
@@ -63,20 +68,64 @@ class TestMissTaxonomy:
             assert reason.category in ("detected", "scale/scope", "technical",
                                        "inherent", "coverage")
 
+    @pytest.mark.slow
+    def test_missed_breach_sample(self, experiments_quote):
+        """§6.2's post-mortem: 50 breached sites where Tripwire holds no
+        working account, which it would therefore miss."""
+        world = ScenarioConfig(
+            seed=88, population_size=900, seed_list_size=80,
+            main_crawl_top=500,  # ranks past 550 stay outside the corpus
+            second_crawl_top=550, manual_top=15,
+            breach_count=0, unused_account_count=100, control_account_count=3,
+        )
+        result = PilotScenario(world).run()
+        population = result.system.population
+        covered = set()
+        for attempt in result.campaign.exposed_attempts():
+            site = population.site_by_host(attempt.site_host)
+            if site and site.accounts.lookup(attempt.identity.email_address):
+                covered.add(attempt.site_host)
+        ranks = list(range(1, population.size + 1))
+        result.system.tree.child("miss-study").rng().shuffle(ranks)
+        hosts = [h for h in (population.spec_at_rank(r).host for r in ranks)
+                 if h not in covered][:50]
+        tally = miss_report(result.system, result.campaign, set(), hosts)
+
+        assert sum(tally.values()) == 50
+        assert MissReason.DETECTED not in tally
+        by_category = Counter()
+        for reason, count in tally.items():
+            by_category[reason.category] += count
+        # Paper: 29 scale/scope, 14 technical, 6 inherent.
+        assert by_category["scale/scope"] >= 15
+        assert by_category["technical"] >= 3
+        assert by_category["inherent"] <= 15
+        rank = tally.get(MissReason.RANK_OUTSIDE_CORPUS, 0)
+        language = tally.get(MissReason.NON_ENGLISH, 0)
+        experiments_quote(
+            f"| scale/scope (rank + language) | 29 (22 + 7) | {rank + language} "
+            f"({rank} + {language}) |\n"
+            "| technical (multi-page, bot checks, unfindable pages, crawler errors) "
+            f"| 14 | {by_category['technical']} |\n"
+            f"| inherent (payment / offline-only) | 6 | {by_category['inherent']} |"
+        )
+
 
 class TestEthicsAudit:
-    def test_audit_over_pilot(self, pilot_result):
-        audit = audit_load(pilot_result.campaign, pilot_result.system.transport)
-        assert audit.sites_contacted > 0
-        assert audit.majority_two_or_fewer
-        assert audit.min_inter_request_gap >= 3  # the §3 rate limit
-        text = render_ethics_audit(audit)
-        assert "ethics audit" in text
+    def test_audit_over_pilot(self, pilots):
+        for pilot in pilots:
+            audit = audit_load(pilot.campaign, pilot.system.transport)
+            assert audit.sites_contacted > 0
+            assert audit.majority_two_or_fewer
+            # The §3 rate limit: at least 3 s between page loads.
+            assert audit.min_inter_request_gap >= 3
+            assert "ethics audit" in render_ethics_audit(audit)
 
-    def test_attempt_counts_bounded(self, pilot_result):
-        audit = audit_load(pilot_result.campaign, pilot_result.system.transport)
-        assert audit.max_attempts_per_site <= 4
-        assert audit.sites_with_more_than_eight_attempts == 0
+    def test_attempt_counts_bounded(self, pilots):
+        for pilot in pilots:
+            audit = audit_load(pilot.campaign, pilot.system.transport)
+            assert audit.max_attempts_per_site <= 4  # paper: 16, while debugging
+            assert audit.sites_with_more_than_eight_attempts == 0
 
 
 def login_at(time, ip_value):
@@ -116,3 +165,13 @@ class TestBurstAnalysis:
         assert len(rows) == total_accounts
         text = render_burst_report(rows)
         assert "6.4.2" in text
+
+    def test_paper_shape(self, paper_pilot):
+        rows = build_burst_report(paper_pilot.monitor)
+        assert rows
+        # Paper: 11 of 30 accounts saw multi-IP bursts (peak 46 IPs in
+        # 10 minutes) and 9 single-IP hammering; a minority, but present.
+        bursty = sum(r.has_multi_ip_burst for r in rows)
+        assert 1 <= bursty < len(rows)
+        assert any(r.has_hammering for r in rows)
+        assert max(r.peak_ips_in_window for r in rows) >= 5

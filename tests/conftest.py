@@ -1,16 +1,20 @@
 """Shared fixtures.
 
-The expensive fixture is ``pilot_result`` — a small but complete pilot
-run (registration batches, breaches, attacker campaigns, dumps) shared
-session-wide by the analysis and integration tests.  ``scalar_oracle``
-is how equivalence tests reach the batch login engine's one scalar
-oracle.
+The expensive fixtures are session-wide pilot runs (registration
+batches, breaches, attacker campaigns, dumps).  ``pilot_result`` is a
+small one shared by the analysis and integration tests.
+``paper_pilot`` is large enough for the paper's shape claims (Tables
+1-4, Figures 1-3, §§3, 6.4.2 and 6.4.3) to hold, and runs at several
+seeds.  ``scalar_oracle`` is how equivalence tests reach the batch
+login engine's one scalar oracle.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +99,60 @@ SMALL_PILOT_CONFIG = ScenarioConfig(
 def pilot_result() -> PilotResult:
     """One complete (small) pilot run shared by analysis tests."""
     return PilotScenario(SMALL_PILOT_CONFIG).run()
+
+
+#: About 5% of the paper's world: 1,500 sites and 21 breaches.
+PAPER_PILOT_CONFIG = ScenarioConfig(
+    seed=2017,
+    population_size=1500,
+    seed_list_size=150,
+    main_crawl_top=1250,
+    second_crawl_top=1500,
+    manual_top=40,
+    breach_count=21,
+    breach_hard_exposing=11,
+    unused_account_count=300,
+    control_account_count=6,
+)
+
+#: The seeds the shape claims are checked at: the reference seed in
+#: tier 1, five more (about 5 s each) in the slow tier.
+PAPER_SEEDS = [PAPER_PILOT_CONFIG.seed] + [
+    pytest.param(seed, marks=pytest.mark.slow) for seed in range(1, 6)
+]
+
+
+@pytest.fixture(scope="session")
+def reference_pilot() -> PilotResult:
+    """The paper-shape pilot at its reference seed, 2017."""
+    return PilotScenario(PAPER_PILOT_CONFIG).run()
+
+
+@pytest.fixture(scope="session", params=PAPER_SEEDS, ids="seed{}".format)
+def paper_pilot(request) -> PilotResult:
+    """The paper-shape pilot at each of PAPER_SEEDS."""
+    if request.param == PAPER_PILOT_CONFIG.seed:
+        return request.getfixturevalue("reference_pilot")
+    return PilotScenario(dataclasses.replace(PAPER_PILOT_CONFIG, seed=request.param)).run()
+
+
+@pytest.fixture(scope="session")
+def pilots(pilot_result, reference_pilot) -> tuple[PilotResult, PilotResult]:
+    """The small pilot and the reference paper-shape pilot, for checks
+    that must hold on any pilot."""
+    return pilot_result, reference_pilot
+
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+
+
+@pytest.fixture(scope="session")
+def experiments_quote():
+    """Assert that EXPERIMENTS.md quotes a rendered figure, whitespace
+    normalised; a failure prints what was rendered."""
+    doc = " ".join(EXPERIMENTS_MD.read_text(encoding="utf-8").split())
+
+    def check(rendered: str) -> None:
+        assert " ".join(rendered.split()) in doc, rendered
+
+    return check

@@ -39,5 +39,5 @@ class TestExamples:
     @pytest.mark.slow
     def test_crawler_extensions_small(self, capsys):
         out = run_example("crawler_extensions.py", ["80"], capsys)
-        assert "Crawler-extension coverage" in out
+        assert "Extension coverage over the same top-80 batch" in out
         assert "baseline (paper pilot)" in out

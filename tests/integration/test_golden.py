@@ -11,9 +11,10 @@ SHA-256 pins that any refactor must leave alone:
   only check on the stuffing panel's bytes;
 - the stdout of ``repro pilot --scale 1.0 --seed 2017``, the full-scale
   reference run that EXPERIMENTS.md reports.  It takes about a minute,
-  so it is marked ``slow``.  It also renders the measured column of
-  EXPERIMENTS.md's headline table from that stdout, and the file must
-  contain the rendered table verbatim.
+  so it is marked ``slow``.  It also renders six of EXPERIMENTS.md's
+  tables from that stdout (the headline, Table 1, the Table 3
+  statistics, Table 4, Figure 3 and §6.4.3), and the file must contain
+  each rendered table verbatim.
 
 A change that moves any hash changes what the reproduction reports.
 If that change is deliberate, re-pin the hash here and update
@@ -30,6 +31,7 @@ would take minutes.
 import contextlib
 import hashlib
 import io
+import itertools
 from pathlib import Path
 
 import pytest
@@ -116,7 +118,7 @@ def test_serve_journal_and_detections_are_pinned(tmp_path):
     assert hashlib.sha256(flight.read_bytes()).hexdigest() == FLIGHT_SHA256
 
 
-# -- the full-scale pin and EXPERIMENTS.md's headline table -------------------
+# -- the full-scale pin and EXPERIMENTS.md's tables -----------------------------
 
 #: The headline table's rows: label and the paper's figure.
 HEADLINE_PAPER = (
@@ -131,6 +133,43 @@ HEADLINE_PAPER = (
     ("integrity alarms (false positives)", "0"),
 )
 
+#: Table 1's categories and the paper's share of valid accounts.
+TABLE1_PAPER_SHARE = (
+    ("Email verified", "55%"),
+    ("Email received", "4%"),
+    ("OK submission", "29%"),
+    ("Bad heuristics/Fields missing", "9%"),
+    ("Manual", "4%"),
+)
+
+TABLE3_PAPER = (
+    ("accessed accounts", "30"),
+    ("login counts", "1 – 363"),
+    ("days until first access", "3 – 639"),
+    ("provider-frozen/closed", "8 of 30"),
+    ("single-login verifier accounts", "4"),
+)
+
+#: Figure 3's stages: label, the paper's figure and the report's label.
+FIG3_STAGES = (
+    ("ineligible sites (panel 1)", "63.8%", "ineligible"),
+    ("no registration found", "47.2%", "no registration found"),
+    ("system errors", "19.1%", "system errors"),
+    ("unavailable info / captcha / fields", "21.5%", "fields missing/unavailable"),
+    ("system-estimated success", "12.2%", "system-estimated success"),
+    ("success on eligible (panel 3)", "~18.8%", "success on eligible sites"),
+)
+
+IP_PAPER = (
+    ("logins observed", "~1,792"),
+    ("distinct IPs", "1,316"),
+    ("IPs seen more than once", "181"),
+    ("max uses of one IP", "58"),
+    ("top countries", "RU, CN, US, VN"),
+    ("host type", "mostly residential"),
+    ("method", "typically IMAP"),
+)
+
 
 def report_section(report, title):
     """The lines of one report section, from its title to the next rule."""
@@ -140,15 +179,38 @@ def report_section(report, title):
 
 
 def table_rows(lines):
-    """A rendered table's body rows, split on whitespace."""
+    """The body rows of the first rendered table in ``lines``, split on
+    whitespace, up to the blank line that ends it."""
     rule = next(i for i, line in enumerate(lines) if line.startswith("----"))
-    return [line.split() for line in lines[rule + 1 :] if line.strip()]
+    return [line.split() for line in itertools.takewhile(str.strip, lines[rule + 1 :])]
+
+
+def labelled(lines, label):
+    """The word after ``label`` on the line that starts with it."""
+    line = next(line for line in lines if line.strip().startswith(label))
+    return line.split(label, 1)[1].split()[0]
 
 
 def labelled_count(lines, label):
-    """The number after ``label`` on the line that starts with it."""
-    line = next(line for line in lines if line.strip().startswith(label))
-    return int(line.split(label, 1)[1].split()[0])
+    return int(labelled(lines, label))
+
+
+def markdown_row(cells):
+    return "|" + "".join(f" {cell} |" if cell else " |" for cell in cells)
+
+
+def markdown_table(header, rows):
+    """An EXPERIMENTS.md table: the header cells, their rule and the rows."""
+    lines = [markdown_row(header), "|" + "---|" * len(header), *map(markdown_row, rows)]
+    return "\n".join(lines) + "\n"
+
+
+def paper_vs_measured(first, paper, measured):
+    """A (label, paper, measured) table; ``paper`` pairs labels and figures."""
+    return markdown_table(
+        (first, "Paper", "Measured (scale 1.0)"),
+        [(label, figure, value) for (label, figure), value in zip(paper, measured, strict=True)],
+    )
 
 
 def render_headline(report):
@@ -162,7 +224,7 @@ def render_headline(report):
     ips = report_section(report, "Attacker login-IP analysis")
     truth = report_section(report, "Ground truth vs detection")
     breached = labelled_count(truth, "sites breached (ground truth):")
-    measured = (
+    return paper_vs_measured("", HEADLINE_PAPER, (
         f"{int(total[3]):,}",
         f"{int(total[9]):,} / {int(total[11]):,}",
         f"{len(sites)} (of {breached} breached)",
@@ -172,13 +234,77 @@ def render_headline(report):
         f"{labelled_count(ips, 'logins observed:'):,} / {labelled_count(ips, 'distinct IPs:'):,}",
         f"{labelled_count(ips, 'max uses, one IP:')}",
         f"{labelled_count(truth, 'integrity alarms:')}",
+    ))
+
+
+def render_table1(report):
+    """EXPERIMENTS.md's Table 1: success rates and shares of valid accounts."""
+    # A row is the label's words, then 11 cells; Est.Total is "N (share)".
+    rows = {" ".join(row[:-11]): row for row in table_rows(report_section(report, "Table 1:"))}
+    return markdown_table(
+        ("Category", "Paper success rate", "Measured", "Paper share of valid", "Measured"),
+        [(label, rows[label][-6], rows[label][-7], share, rows[label][-2].strip("()"))
+         for label, share in TABLE1_PAPER_SHARE],
     )
-    rows = ["| | Paper | Measured (scale 1.0) |", "|---|---|---|"]
-    rows += [
-        f"| {label} | {paper} | {value} |"
-        for (label, paper), value in zip(HEADLINE_PAPER, measured)
-    ]
-    return "\n".join(rows) + "\n"
+
+
+def render_table3(report):
+    """EXPERIMENTS.md's Table 3 statistics."""
+    rows = table_rows(report_section(report, "Table 3:"))
+    logins = [int(row[2]) for row in rows]
+    until = [int(row[3]) for row in rows]
+    return paper_vs_measured("Statistic", TABLE3_PAPER, (
+        f"{len(rows)}",
+        f"{min(logins)} – {max(logins)}",
+        f"{min(until)} – {max(until)}",
+        f"{sum(row[5] == 'Y' for row in rows)} of {len(rows)}",
+        f"{logins.count(1)}",
+    ))
+
+
+def render_table4(report):
+    """EXPERIMENTS.md's Table 4: each window's five shares, paper and measured."""
+    rows = table_rows(report_section(report, "Table 4:"))
+
+    def shares(row):
+        return " / ".join(cell.rstrip("%") for cell in row[-5:])
+
+    paper = {row[1].rstrip(")"): shares(row) for row in rows if row[0] == "(paper"}
+    windows = [row for row in rows if row[0].isdigit()]
+    (average,) = [row for row in rows if row[0] == "Average"]
+    return markdown_table(
+        ("Window", "Paper (LF / non-EN / no-reg / inelig / rest)", "Measured (scale 1.0)"),
+        [(f"rank {int(row[0]):,}", paper[row[0]], shares(row)) for row in windows]
+        + [("average", "6.7 / 44.3 / 12.7 / 5.0 / 31.3", shares(average))],
+    )
+
+
+def render_fig3(report):
+    """EXPERIMENTS.md's Figure 3 funnel."""
+    lines = report_section(report, "Figure 3:")
+    measured = [labelled(lines, label) for _stage, _paper, label in FIG3_STAGES]
+    measured[3] += f" (+{labelled(lines, 'submission heuristics fail')} heuristics-fail)"
+    return paper_vs_measured(
+        "Stage", [(stage, paper) for stage, paper, _label in FIG3_STAGES], measured
+    )
+
+
+def render_ip_stats(report):
+    """EXPERIMENTS.md's §6.4.3 attacker login-IP statistics."""
+    lines = report_section(report, "Attacker login-IP analysis")
+    logins = labelled_count(lines, "logins observed:")
+    countries = table_rows(lines)
+    methods = dict(table_rows(lines[lines.index("Access methods (paper: typically IMAP)") :]))
+    return paper_vs_measured("Statistic", IP_PAPER, (
+        f"{logins:,}",
+        f"{labelled_count(lines, 'distinct IPs:'):,}",
+        f"{labelled_count(lines, 'IPs seen >1 time:'):,}",
+        f"{labelled_count(lines, 'max uses, one IP:')}",
+        ", ".join(code for code, _count in countries[:4]),
+        f"{labelled_count(lines, 'residential IPs:'):,} residential vs "
+        f"{labelled_count(lines, 'datacenter IPs:'):,} datacenter",
+        f"IMAP {int(methods['IMAP']) / logins:.0%}",
+    ))
 
 
 @pytest.mark.slow
@@ -186,5 +312,8 @@ def render_headline(report):
 def test_full_scale_pilot_report_is_pinned(perf_layer):
     report = pilot_report("1.0")
     assert sha256(report) == FULL_SCALE_SHA256
-    headline = render_headline(report)
-    assert headline in EXPERIMENTS_MD.read_text(encoding="utf-8"), headline
+    experiments = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    for render in (render_headline, render_table1, render_table3, render_table4,
+                   render_fig3, render_ip_stats):
+        table = render(report)
+        assert table in experiments, table
