@@ -80,15 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--shards", type=int, default=8,
                           help="independent world shards (default 8)")
     campaign.add_argument("--workers", type=int, default=1,
-                          help="parallel shard workers (default 1)")
-    campaign.add_argument("--warm-workers", action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="per-worker warm world cache (site specs, identity "
-                               "corpora); --no-warm-workers forces the cold "
-                               "reference path (output is identical either way)")
-    campaign.add_argument("--executor", choices=["serial", "thread", "process"],
-                          default="process",
-                          help="shard executor backend (default process)")
+                          help="shard worker processes; more than 1 runs the "
+                               "shards on a process pool (default 1: serial)")
     campaign.add_argument("--json", type=pathlib.Path, default=None,
                           help="write a machine-readable summary here")
     _add_store_arguments(campaign)
@@ -112,15 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=4,
                        help="crawl shards per epoch (default 4)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="parallel shard workers; the pool persists "
-                            "across epochs (default 1)")
-    serve.add_argument("--executor", choices=["serial", "thread", "process"],
-                       default="process",
-                       help="shard executor backend (default process)")
-    serve.add_argument("--warm-workers", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="per-worker warm world cache, reused across "
-                            "epochs (output is identical either way)")
+                       help="shard worker processes; more than 1 runs the "
+                            "shards on one process pool that persists across "
+                            "epochs (default 1: serial)")
     serve.add_argument("--checkpoint", type=pathlib.Path, default=None,
                        metavar="PATH",
                        help="write the epoch checkpoint here (atomic)")
@@ -270,6 +257,11 @@ def _open_or_build_store(path: pathlib.Path, seed: int, population: int):
     return store
 
 
+def _executor_for(workers: int) -> str:
+    """The shard backend a worker count asks for: a pool past one worker."""
+    return "process" if workers > 1 else "serial"
+
+
 def _fault_plan_from(args: argparse.Namespace):
     from repro.faults.plan import FaultPlan
 
@@ -356,9 +348,20 @@ def _run_campaign(args: argparse.Namespace) -> int:
     from repro.util.rngtree import RngTree
     from repro.util.tables import render_table
 
-    executor = args.executor
-    if args.workers == 1 and executor != "serial":
-        executor = "serial"
+    fault_plan = _fault_plan_from(args)
+    # Built first, so bad execution settings fail before any world
+    # store is opened or built.
+    runner = CampaignRunner(
+        seed=args.seed,
+        population_size=args.population,
+        shards=args.shards,
+        workers=args.workers,
+        executor=_executor_for(args.workers),
+        fault_plan=fault_plan,
+        obs_enabled=args.obs_out is not None,
+        obs_meta={"command": "campaign"},
+        world_store=str(args.world_store) if args.world_store is not None else None,
+    )
 
     store = None
     if args.world_store is not None:
@@ -370,28 +373,16 @@ def _run_campaign(args: argparse.Namespace) -> int:
         listing = WorldShard(RngTree(args.seed)).build_population(args.population)
         sites = listing.alexa_top(args.top)
 
-    fault_plan = _fault_plan_from(args)
     print(
         f"campaign: top={len(sites)} shards={args.shards} "
-        f"workers={args.workers} executor={executor}"
+        f"workers={args.workers} executor={runner.executor}"
         + (f" store={args.world_store}" if store is not None else "")
         + (f" faults={args.fault_profile}/{args.fault_seed}" if fault_plan else ""),
         file=sys.stderr,
     )
-    # Context-managed so a persistent pool is torn down even when the
-    # run raises (worker processes must not outlive the command).
-    with CampaignRunner(
-        seed=args.seed,
-        population_size=args.population,
-        shards=args.shards,
-        workers=args.workers,
-        executor=executor,
-        fault_plan=fault_plan,
-        obs_enabled=args.obs_out is not None,
-        obs_meta={"command": "campaign"},
-        warm_workers=args.warm_workers,
-        world_store=str(args.world_store) if store is not None else None,
-    ) as runner:
+    # Context-managed so the pool is torn down even when the run raises
+    # (worker processes must not outlive the command).
+    with runner:
         result = runner.run(sites)
 
     if store is not None:
@@ -414,7 +405,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         ["Wall-clock seconds", f"{result.wall_seconds:.2f}"],
     ]
     print(render_table(["Metric", "Value"], rows,
-                       title=f"Sharded campaign ({executor}, "
+                       title=f"Sharded campaign ({runner.executor}, "
                              f"{args.shards} shards, {args.workers} workers)"))
     if fault_plan is not None:
         print()
@@ -429,7 +420,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             "top": len(sites),
             "shards": args.shards,
             "workers": args.workers,
-            "executor": executor,
+            "executor": runner.executor,
             "wall_seconds": result.wall_seconds,
             "stats": {
                 "sites_considered": stats.sites_considered,
@@ -472,10 +463,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.util.tables import render_table
     from repro.util.timeutil import DAY
 
-    executor = args.executor
-    if args.workers == 1 and executor != "serial":
-        executor = "serial"
-
     config = ServiceConfig(
         seed=args.seed,
         population_size=args.population,
@@ -485,8 +472,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         epoch_length=args.epoch_days * DAY,
         fault_plan=_fault_plan_from(args),
         workers=args.workers,
-        executor=executor,
-        warm_workers=args.warm_workers,
+        executor=_executor_for(args.workers),
         checkpoint_every=args.checkpoint_every,
         world_store=str(args.world_store) if args.world_store else None,
         traffic_users=args.traffic_users,
@@ -535,7 +521,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     }
     print(
         f"serve: top={config.top} epochs={config.epochs} "
-        f"shards={config.shards} workers={config.workers} executor={executor}"
+        f"shards={config.shards} workers={config.workers} executor={config.executor}"
         + (f" checkpoint={checkpoint_path}" if checkpoint_path else "")
         + (f" faults={args.fault_profile}/{args.fault_seed}"
            if config.fault_plan else ""),
@@ -607,7 +593,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             "top": config.top,
             "shards": config.shards,
             "workers": config.workers,
-            "executor": executor,
+            "executor": config.executor,
             "epochs": config.epochs,
             "epochs_completed": result.epochs_completed,
             "interrupted": result.interrupted,

@@ -7,8 +7,8 @@
 - :mod:`repro.core.system` — the :class:`TripwireSystem` facade wiring
   one substrate and one apparatus into the familiar flat API.
 - :mod:`repro.core.runner` — sharded campaign execution: partition a
-  ranked list, run each shard on a private world (serial, thread-pool
-  or process-pool), merge results deterministically.
+  ranked list, run each shard on a private world (serially or on a
+  process pool), merge results deterministically.
 - :mod:`repro.core.campaign` — registration campaigns: hard-first
   attempts, conditional easy/second-hard follow-ups, identity burning,
   shared-backend URL filtering, manual registrations.

@@ -27,8 +27,6 @@ backoff.  All injectors share the world's
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.crawler.captcha import CaptchaSolverService
 from repro.crawler.engine import CrawlerConfig, RegistrationCrawler
 from repro.email_provider.provider import EmailProvider
@@ -39,7 +37,6 @@ from repro.faults.injectors import (
 )
 from repro.identity.generator import IdentityFactory
 from repro.identity.passwords import PasswordClass
-from repro.identity.records import Identity
 from repro.identity.pool import IdentityPool
 from repro.mail.forwarding import ForwardingHop
 from repro.mail.server import TripwireMailServer
@@ -143,36 +140,15 @@ class MeasurementApparatus:
 
     # -- identity provisioning ----------------------------------------------
 
-    def provision_identities(
-        self,
-        count: int,
-        password_class: PasswordClass,
-        *,
-        prebuilt: Sequence[Identity] | None = None,
-        record: list[Identity] | None = None,
-    ) -> int:
+    def provision_identities(self, count: int, password_class: PasswordClass) -> int:
         """Create identities and the matching provider accounts.
 
         Identities the provider rejects (collision / naming policy) are
         discarded, as in the paper.  Returns how many joined the pool.
-
-        ``prebuilt`` replays previously minted identities through the
-        provider instead of drawing from the factory (the warm-worker
-        corpus cache; ``EmailProvider.provision`` draws no randomness,
-        so replay reproduces the cold path exactly — provided no further
-        identities are minted from this apparatus afterwards).
-        ``record`` collects every identity *created* (including ones the
-        provider then rejects), which is exactly what a later replay
-        needs.
         """
         added = 0
-        for i in range(count):
-            if prebuilt is not None:
-                identity = prebuilt[i]
-            else:
-                identity = self.identity_factory.create(password_class)
-            if record is not None:
-                record.append(identity)
+        for _ in range(count):
+            identity = self.identity_factory.create(password_class)
             result = self.provider.provision(
                 identity.email_local,
                 identity.full_name,

@@ -17,10 +17,10 @@ substrate tree is the root seed (so site specs are identical across
 shards and runs) and whose apparatus tree is namespaced
 ``("shard", shard_index)`` (so shards mint distinct identities and
 crawl with independent error streams).  No state is shared between
-shards, so executing them serially, on a thread pool, or on a process
-pool yields **bit-identical merged results for any worker count**.
-The merge is keyed on each site's position in the input list, never on
-completion order.
+shards, so executing them serially or on a process pool yields
+**bit-identical merged results for any worker count**.  The merge is
+keyed on each site's position in the input list, never on completion
+order.
 
 Fault injection preserves the contract: a :class:`FaultPlan` rides in
 the picklable :class:`ShardPlan`, each shard derives its injector RNG
@@ -30,17 +30,18 @@ in shard-index order.  With any plan and a fixed seed, the merged
 output — attempts, telemetry *and* fault report — is bit-identical for
 any worker count and executor.
 
-Scale-out layer (PR 5)
-----------------------
+Scale-out layer
+---------------
 
-Three orthogonal optimizations ride on top, none of which may move a
-bit of merged output:
+Three optimizations ride on top, none of which may move a bit of
+merged output:
 
-- **Warm workers** (:mod:`repro.perf.warm`): shard-invariant substrate
-  products (site specs, identity corpora) are cached for the worker
-  process's lifetime, so a persistent pool builds each world once per
-  worker instead of once per shard.  ``warm_enabled`` rides in the
-  plan; the cold path survives as the reference.
+- **Warm spec cache** (:mod:`repro.perf.warm`): site specs are cached
+  for the process's lifetime, so every shard after the first in a
+  process (serial, or a pool worker) reuses the specs it already
+  generated.  The perf layer's switch (``REPRO_PERF_DISABLE=1`` /
+  ``set_enabled(False)``) turns it off; that cold path is the
+  reference.
 - **Wire codec** (:mod:`repro.perf.wire`): the process backend ships
   each shard result as one compact interned-tuple blob instead of a
   default-pickled object graph; per-shard bytes-on-wire are recorded
@@ -60,7 +61,6 @@ from dataclasses import dataclass, field
 
 from repro.core.campaign import AttemptRecord, CampaignStats, RegistrationCampaign, RegistrationPolicy
 from repro.core.system import TripwireSystem
-from repro.crawler.engine import CrawlerConfig
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultReport
 from repro.identity.passwords import PasswordClass
@@ -70,11 +70,23 @@ from repro.obs.merge import collect_shard_ordered, sum_counter_dataclasses
 from repro.perf import warm as _warm
 from repro.perf import wire as _wire
 from repro.util.timeutil import STUDY_START, SimInstant
-from repro.web.generator import GeneratorConfig
 from repro.web.population import RankedSite
 
 #: Executor backends accepted by :class:`CampaignRunner`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
+
+#: Identities of each password class provisioned beyond a shard's need.
+SPARE_IDENTITIES = 8
+
+
+def check_execution(shards: int, workers: int, executor: str) -> None:
+    """Reject shard, worker and executor settings no run can use."""
+    if executor not in EXECUTORS:
+        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
+    if shards < 1:
+        raise ValueError("shards must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,17 +106,10 @@ class ShardPlan:
     positions: tuple[int, ...]
     policy: RegistrationPolicy = RegistrationPolicy.HARD_FIRST
     start: SimInstant = STUDY_START
-    generator_config: GeneratorConfig | None = None
-    crawler_config: CrawlerConfig | None = None
-    site_overrides: tuple[tuple[int, tuple[tuple[str, object], ...]], ...] = ()
-    identity_headroom: int = 8
     fault_plan: FaultPlan | None = None
     obs_enabled: bool = False
-    #: Opt-in to the per-worker warm world cache.  Off by default so a
-    #: bare ``run_shard(plan)`` is always the cold reference path.
-    warm_enabled: bool = False
     #: Path of a built :mod:`repro.store` world store, or None for the
-    #: in-memory default.  Execution-shaped like ``warm_enabled``: the
+    #: in-memory default.  Execution-shaped like the worker count: the
     #: store holds the same prefix-closed specs the generator would
     #: produce, so toggling it moves no bit of merged output (the
     #: store≡memory determinism matrix pins this).
@@ -192,26 +197,6 @@ def partition_sites(
     ]
 
 
-def _overrides_to_dict(
-    packed: tuple[tuple[int, tuple[tuple[str, object], ...]], ...],
-) -> dict[int, dict[str, object]] | None:
-    if not packed:
-        return None
-    return {rank: dict(items) for rank, items in packed}
-
-
-def pack_overrides(
-    overrides: dict[int, dict[str, object]] | None,
-) -> tuple[tuple[int, tuple[tuple[str, object], ...]], ...]:
-    """Freeze a site-override mapping into a hashable, picklable form."""
-    if not overrides:
-        return ()
-    return tuple(
-        (rank, tuple(sorted(items.items())))
-        for rank, items in sorted(overrides.items())
-    )
-
-
 def run_shard(plan: ShardPlan) -> ShardResult:
     """Execute one shard's campaign on a private world.
 
@@ -220,49 +205,39 @@ def run_shard(plan: ShardPlan) -> ShardResult:
     every site may take a hard attempt, a follow-up easy attempt and
     an occasional second hard attempt.
 
-    With ``plan.warm_enabled`` (and the perf layer on), shard-invariant
-    substrate products come from the worker-process-lifetime cache in
-    :mod:`repro.perf.warm`; otherwise this is the cold reference path.
-    Either way the result is bit-identical — the warm cache holds only
-    pure functions of the plan's world key.
+    Site specs come from the world store when the plan names one, else
+    from the process-lifetime spec cache in :mod:`repro.perf.warm`
+    (none with the perf layer off, the cold reference path).  Either
+    way the result is bit-identical: both hold only pure per-rank
+    functions of the seed.
     """
     if plan.epoch == 0:
         namespace: tuple[object, ...] = ("shard", plan.shard_index)
     else:
         namespace = ("epoch", plan.epoch, "shard", plan.shard_index)
-    spec_cache = None
     if plan.world_store is not None:
         from repro.store import open_world_store
 
         store = open_world_store(plan.world_store)
-        store.require_world(
-            plan.seed,
-            plan.population_size,
-            plan.generator_config,
-            plan.site_overrides,
-        )
+        store.require_world(plan.seed, plan.population_size)
         spec_cache = store.spec_cache()
-    warm = _warm.world_for_plan(plan)
+    else:
+        spec_cache = _warm.spec_cache_for(plan.seed, plan.population_size)
     system = TripwireSystem(
         seed=plan.seed,
         population_size=plan.population_size,
         start=plan.start,
-        generator_config=plan.generator_config,
-        crawler_config=plan.crawler_config,
-        site_overrides=_overrides_to_dict(plan.site_overrides),
         apparatus_namespace=namespace,
         fault_plan=plan.fault_plan,
         obs_enabled=plan.obs_enabled,
-        warm=warm,
         spec_cache=spec_cache,
     )
-    hard_needed = 2 * len(plan.sites) + plan.identity_headroom
-    easy_needed = len(plan.sites) + plan.identity_headroom
-    if warm is not None:
-        provisioned = warm.provision(system, hard_needed, easy_needed, namespace)
-    else:
-        provisioned = system.provision_identities(hard_needed, PasswordClass.HARD)
-        provisioned += system.provision_identities(easy_needed, PasswordClass.EASY)
+    provisioned = system.provision_identities(
+        2 * len(plan.sites) + SPARE_IDENTITIES, PasswordClass.HARD
+    )
+    provisioned += system.provision_identities(
+        len(plan.sites) + SPARE_IDENTITIES, PasswordClass.EASY
+    )
 
     campaign = RegistrationCampaign(system, policy=plan.policy)
     site_attempts: list[tuple[int, list[AttemptRecord]]] = []
@@ -375,19 +350,18 @@ def merge_shard_results(results: list[ShardResult]) -> tuple[
 class CampaignRunner:
     """Partition, fan out, merge — the production campaign surface.
 
-    ``executor`` picks the backend: ``"serial"`` (the baseline the
-    parallel backends must match bit-for-bit), ``"thread"``
-    (I/O-bound friendly; bounded by the GIL for this pure-Python
-    workload) or ``"process"`` (true parallelism; shards rebuild their
-    worlds in the worker process from the picklable plan).
+    ``executor`` picks the backend: ``"serial"`` (the baseline the pool
+    must match bit-for-bit) or ``"process"`` (true parallelism; shards
+    rebuild their worlds in the worker process from the picklable plan
+    and ship results back through the compact wire codec,
+    :mod:`repro.perf.wire`).  One worker, or one plan, always runs
+    serially.
 
-    The process backend always ships results through the compact wire
-    codec (:mod:`repro.perf.wire`); threads share memory, so the other
-    backends never encode.  ``warm_workers`` opts shards into the
-    per-worker world cache; ``persistent_pool`` keeps the executor's
-    pool alive across :meth:`run` calls so worker processes retain
-    their warm caches (pair with :meth:`close`, or use the runner as a
-    context manager).  Neither changes an output bit.
+    Used as a context manager, the runner keeps one process pool for
+    the whole ``with`` block, so its workers keep their warm spec
+    caches across :meth:`run`/:meth:`execute` calls; outside a ``with``
+    block each call starts and shuts down its own pool.  Neither
+    changes an output bit.
     """
 
     def __init__(
@@ -399,23 +373,12 @@ class CampaignRunner:
         executor: str = "serial",
         policy: RegistrationPolicy = RegistrationPolicy.HARD_FIRST,
         start: SimInstant = STUDY_START,
-        generator_config: GeneratorConfig | None = None,
-        crawler_config: CrawlerConfig | None = None,
-        site_overrides: dict[int, dict[str, object]] | None = None,
-        identity_headroom: int = 8,
         fault_plan: FaultPlan | None = None,
         obs_enabled: bool = False,
         obs_meta: dict | None = None,
-        warm_workers: bool = True,
-        persistent_pool: bool = False,
         world_store: str | None = None,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        if workers < 1:
-            raise ValueError("workers must be positive")
+        check_execution(shards, workers, executor)
         self.seed = seed
         self.population_size = population_size
         self.shards = shards
@@ -423,22 +386,16 @@ class CampaignRunner:
         self.executor = executor
         self.policy = policy
         self.start = start
-        self.generator_config = generator_config
-        self.crawler_config = crawler_config
-        self.site_overrides = site_overrides
-        self.identity_headroom = identity_headroom
         self.fault_plan = fault_plan
         self.obs_enabled = obs_enabled
         #: Extra journal-header fields (e.g. the CLI command).  Must
         #: never include worker counts, executor names or wall-clock
         #: values — they would break journal byte-identity.
         self.obs_meta = dict(obs_meta) if obs_meta else {}
-        self.warm_workers = warm_workers
-        self.persistent_pool = persistent_pool
         #: Execution-shaped, like ``workers``: never recorded in the
         #: journal meta, and must not change a bit of merged output.
         self.world_store = world_store
-        self._pool: concurrent.futures.Executor | None = None
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
 
     # -- planning -----------------------------------------------------------
 
@@ -459,7 +416,6 @@ class CampaignRunner:
         globally unique shard slots); ``start`` overrides the sim
         instant the shard worlds open at (the epoch's window start).
         """
-        packed = pack_overrides(self.site_overrides)
         plans = []
         base = epoch * self.shards
         for index, (bucket, positions) in enumerate(partition_sites(sites, self.shards)):
@@ -475,13 +431,8 @@ class CampaignRunner:
                     positions=positions,
                     policy=self.policy,
                     start=self.start if start is None else start,
-                    generator_config=self.generator_config,
-                    crawler_config=self.crawler_config,
-                    site_overrides=packed,
-                    identity_headroom=self.identity_headroom,
                     fault_plan=self.fault_plan,
                     obs_enabled=self.obs_enabled,
-                    warm_enabled=self.warm_workers,
                     world_store=self.world_store,
                     epoch=epoch,
                 )
@@ -496,7 +447,7 @@ class CampaignRunner:
         The one-shot surface: plan a single epoch, execute it, build
         the journal.  Service mode (:mod:`repro.service`) calls
         :meth:`plan` / :meth:`execute` itself, once per scheduler
-        epoch, over the same persistent pool.
+        epoch, inside one ``with`` block so every epoch uses one pool.
         """
         return self.execute(self.plan(sites), sites_count=len(sites))
 
@@ -509,8 +460,8 @@ class CampaignRunner:
     ) -> CampaignRunResult:
         """Dispatch prepared shard plans and merge their results.
 
-        Re-entrant across epochs: with ``persistent_pool`` the same
-        worker processes (and their warm world caches) serve every
+        Re-entrant across epochs: inside a ``with`` block the same
+        worker processes (and their warm spec caches) serve every
         call.  ``build_journal=False`` skips per-call journal assembly
         for callers that merge observations across epochs themselves.
         """
@@ -569,36 +520,20 @@ class CampaignRunner:
         ]
         return RunJournal(meta, captures)
 
-    def _acquire_pool(self) -> concurrent.futures.Executor:
-        """The executor pool — cached across runs when persistent.
-
-        A persistent process pool is what makes warm workers pay off:
-        worker processes survive between :meth:`run` calls, so their
-        :mod:`repro.perf.warm` caches stay populated.
-        """
-        if self._pool is not None:
-            return self._pool
-        pool_cls = (
-            concurrent.futures.ThreadPoolExecutor
-            if self.executor == "thread"
-            else concurrent.futures.ProcessPoolExecutor
-        )
-        pool = pool_cls(max_workers=self.workers)
-        if self.persistent_pool:
-            self._pool = pool
-        return pool
-
-    def close(self) -> None:
-        """Shut down the persistent pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
     def __enter__(self) -> "CampaignRunner":
+        """Open the pool that every call in the ``with`` block shares.
+
+        Worker processes start on the first submitted shard, so a
+        block whose calls all run serially starts none.
+        """
+        if self.executor == "process" and self.workers > 1:
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def _run_pooled(
         self,
@@ -611,23 +546,19 @@ class CampaignRunner:
         No barrier: each result merges the moment its future resolves
         (the position-keyed merger makes completion order irrelevant),
         and the first shard failure propagates immediately — remaining
-        futures are cancelled rather than drained.  The process
-        backend ships results through the wire codec; threads share
-        memory, so the codec would be pure overhead there.
+        futures are cancelled rather than drained.  Inside a ``with``
+        block the pool outlives the call; outside, it is shut down here.
         """
-        use_codec = self.executor == "process"
-        work = run_shard_wire if use_codec else run_shard
-        pool = self._acquire_pool()
+        pool = self._pool or concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers
+        )
         try:
-            futures = {pool.submit(work, plan): plan for plan in plans}
+            futures = {pool.submit(run_shard_wire, plan): plan for plan in plans}
             try:
                 for future in concurrent.futures.as_completed(futures):
-                    payload = future.result()
-                    if use_codec:
-                        plan = futures[future]
-                        wire_bytes[plan.shard_index] = len(payload)
-                        payload = _wire.decode_shard_bytes(payload)
-                    merger.add(payload)
+                    blob = future.result()
+                    wire_bytes[futures[future].shard_index] = len(blob)
+                    merger.add(_wire.decode_shard_bytes(blob))
             except BaseException:
                 for future in futures:
                     future.cancel()

@@ -49,7 +49,6 @@ class TripwireSystem:
         apparatus_namespace: tuple[object, ...] = (),
         fault_plan: FaultPlan | None = None,
         obs_enabled: bool = False,
-        warm: object | None = None,
         spec_cache: object | None = None,
     ):
         self.tree = RngTree(seed)
@@ -71,17 +70,9 @@ class TripwireSystem:
             crawler_config=crawler_config,
             proxy_pool_size=proxy_pool_size,
         )
-        #: Warm-worker world cache (:mod:`repro.perf.warm`), if any.
-        #: Only shard-invariant substrate products flow through it — the
-        #: site-spec cache here, the identity corpus via
-        #: :meth:`provision_identities` — so warm and cold runs stay
-        #: bit-identical.
-        self.warm = warm
-        #: An explicit ``spec_cache`` (e.g. the world store's read-only
-        #: adapter) wins over the warm cache's — disk-backed specs are
-        #: already the fully built table the warm cache approximates.
-        if spec_cache is None:
-            spec_cache = getattr(warm, "spec_cache", None)
+        #: ``spec_cache`` shares generated site specs between the
+        #: systems of one world: the warm cache (:mod:`repro.perf.warm`)
+        #: or a world store's read-only adapter.
         self.population = self.world.build_population(
             population_size,
             mail_router=self.route_site_mail,
@@ -125,18 +116,9 @@ class TripwireSystem:
 
     # -- identity provisioning -------------------------------------------------------
 
-    def provision_identities(
-        self,
-        count: int,
-        password_class: PasswordClass,
-        *,
-        prebuilt=None,
-        record=None,
-    ) -> int:
+    def provision_identities(self, count: int, password_class: PasswordClass) -> int:
         """Create identities and the matching provider accounts."""
-        return self.apparatus.provision_identities(
-            count, password_class, prebuilt=prebuilt, record=record
-        )
+        return self.apparatus.provision_identities(count, password_class)
 
     def provision_control_accounts(self, count: int) -> list[str]:
         """Create control accounts we log into ourselves (Section 4.2)."""

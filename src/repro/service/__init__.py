@@ -18,7 +18,8 @@ shape:
   :class:`CheckpointError` when damaged;
 - :mod:`repro.service.daemon` — the :class:`CampaignDaemon` driving it
   all: one :class:`~repro.core.runner.CampaignRunner` dispatch per
-  epoch over a persistent warm worker pool, graceful SIGTERM stop,
+  epoch, serially or over one process pool that lives for the whole
+  run, graceful SIGTERM stop,
   and deterministic resume: a daemon killed at any epoch boundary and
   restarted from its checkpoint replays to a journal byte-identical
   to the uninterrupted run, for any worker count.

@@ -50,9 +50,9 @@ class CheckpointError(ValueError):
 def config_digest(config: ServiceConfig) -> str:
     """Digest of the sim-shaping config a checkpoint belongs to.
 
-    Execution-shaping knobs (workers, executor, warm caches,
-    checkpoint cadence) are excluded on purpose: a resume may change
-    them freely.  Changing any sim-shaping knob makes stored shard
+    Execution-shaping knobs (workers, executor, batch sizes, the world
+    store, checkpoint cadence) are excluded on purpose: a resume may
+    change them freely.  Changing any sim-shaping knob makes stored shard
     results meaningless, so :func:`load_checkpoint` refuses.
     """
     canonical = json.dumps(config.sim_meta(), sort_keys=True, separators=(",", ":"))

@@ -120,10 +120,9 @@ class ServiceRunResult:
 class CampaignDaemon:
     """Drives the epoch loop: crawl waves, service events, checkpoints.
 
-    One :class:`~repro.core.runner.CampaignRunner` with a persistent
-    pool serves every epoch, so worker processes keep their warm world
-    caches across dispatches (the PR-5 pools, now reused across
-    epochs).  :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
+    One :class:`~repro.core.runner.CampaignRunner`, entered once for
+    the whole loop, serves every epoch from one pool, so worker
+    processes keep their warm spec caches across dispatches.  :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
     lets the in-flight epoch finish, checkpoints it, and exits the loop
     — a *graceful* stop; a hard kill merely loses epochs after the last
     checkpoint, which a resume re-runs from their pure plans.
@@ -215,8 +214,6 @@ class CampaignDaemon:
             start=cfg.start,
             fault_plan=cfg.fault_plan,
             obs_enabled=True,
-            warm_workers=cfg.warm_workers,
-            persistent_pool=True,
             world_store=cfg.world_store,
         )
 

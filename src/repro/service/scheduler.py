@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.campaign import RegistrationPolicy
+from repro.core.runner import check_execution
 from repro.faults.plan import FaultPlan
 from repro.identity.reuse import check_probability, check_reuse_rates
 from repro.util.timeutil import DAY, HOUR, STUDY_START, SimInstant
@@ -27,8 +28,8 @@ class ServiceConfig:
     Fields are split between *sim-shaping* knobs (seed, population,
     epochs, intervals, account counts — these go into the journal meta
     and the checkpoint digest) and *execution-shaping* knobs (workers,
-    executor, warm caches — these may differ between the original and
-    the resumed run without moving a byte of output).
+    executor, batch sizes, world store — these may differ between the
+    original and the resumed run without moving a byte of output).
     """
 
     # -- sim-shaping ------------------------------------------------------
@@ -81,8 +82,8 @@ class ServiceConfig:
 
     # -- execution-shaping (never in journal meta) ------------------------
     workers: int = 1
+    #: ``"serial"`` or ``"process"`` (:data:`repro.core.runner.EXECUTORS`).
     executor: str = "serial"
-    warm_workers: bool = True
     checkpoint_every: int = 1
     #: Max events per traffic batch.  Execution-shaping: batch
     #: splitting groups the same events without reordering them.
@@ -97,6 +98,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        check_execution(self.shards, self.workers, self.executor)
         if self.epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
         if self.checkpoint_every < 1:
@@ -124,9 +126,9 @@ class ServiceConfig:
     def sim_meta(self) -> dict:
         """The sim-shaping facts: journal meta and checkpoint digest.
 
-        Deliberately excludes workers, executor, warm caches and
-        checkpoint cadence — a resumed run may change any of those and
-        must still produce byte-identical output.
+        Deliberately excludes workers, executor, batch sizes, the world
+        store and checkpoint cadence — a resumed run may change any of
+        those and must still produce byte-identical output.
         """
         return {
             "command": "serve",

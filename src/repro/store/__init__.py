@@ -20,7 +20,7 @@ row tuples) from shard-result *transport* into a persistent *backend*:
 - :mod:`repro.store.world` — the :class:`WorldStore` directory format
   (meta + segments), prefix-closed build from a
   :class:`~repro.web.generator.SiteGenerator`, and the read-only
-  spec-cache adapter the generator and warm workers consume;
+  spec-cache adapter the generator and shard workers consume;
 - :mod:`repro.store.strata` — multi-strata rank sampling
   (1k/10k/100k/1M) in the style of Common Crawl's Tranco top-K
   sampling, preserving per-stratum Table-4 incidence.

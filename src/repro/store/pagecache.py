@@ -9,8 +9,8 @@ admission is strict — a page is either cached within budget or
 *bypassed* (returned to the caller uncached) when it alone exceeds the
 budget; residency never overshoots.
 
-Thread-safe: thread-executor shards share one process-wide store, so
-gets and puts take a lock.  Keys are ``(segment path, first_row)``.
+Thread-safe: every reader in a process shares one process-wide store,
+so gets and puts take a lock.  Keys are ``(segment path, first_row)``.
 """
 
 from __future__ import annotations

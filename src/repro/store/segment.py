@@ -32,8 +32,8 @@ the footer carry a CRC32, so a flipped byte is also a clean
 :class:`StoreError`.
 
 Readers use :func:`os.pread` — positioned reads off a single file
-descriptor — so concurrent readers (thread-executor shards sharing a
-process-wide store) need no seek lock.
+descriptor — so concurrent readers (threads sharing a process-wide
+store) need no seek lock.
 """
 
 from __future__ import annotations

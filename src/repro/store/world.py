@@ -15,23 +15,21 @@ memory is one page's rows no matter the population.  **Reading** goes
 through one budgeted :class:`~repro.store.pagecache.PageCache` shared
 by all of a store's segments.
 
-A store is identified by its **world digest** — a hash of
-``(seed, generator config, site overrides)``, deliberately excluding
-population size: specs are pure per-rank functions, so a 10^6-row
-store serves any run with ``population <= rows`` bit-identically.
+A store is identified by its **world digest** — a hash of the seed,
+deliberately excluding population size: specs are pure per-rank
+functions of the seed, so a 10^6-row store serves any run with
+``population <= rows`` bit-identically.
 :meth:`WorldStore.require_world` enforces the match; a shard handed a
 store built for a different world fails with :class:`StoreError`
 instead of silently diverging.
 
-:func:`open_world_store` keeps a process-lifetime registry so a warm
-worker (persistent pool, many shards and epochs) opens the store and
-fills its page cache once, mirroring :mod:`repro.perf.warm`'s
-treatment of in-memory worlds.
+:func:`open_world_store` keeps a process-lifetime registry so a pool
+worker (many shards and epochs) opens the store and fills its page
+cache once, mirroring :mod:`repro.perf.warm`'s in-memory spec cache.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -51,7 +49,6 @@ from repro.store.segment import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.campaign import AttemptRecord
     from repro.identity.records import Identity
-    from repro.web.generator import GeneratorConfig
     from repro.web.population import RankedSite
     from repro.web.spec import SiteSpec
 
@@ -75,27 +72,14 @@ _SEGMENT_FILES = {
 }
 
 
-def _config_fields(config: "GeneratorConfig | None") -> tuple:
-    if config is None:
-        return ()
-    return tuple(
-        (f.name, getattr(config, f.name)) for f in dataclasses.fields(config)
-    )
-
-
-def world_digest(
-    seed: int,
-    generator_config: "GeneratorConfig | None" = None,
-    packed_overrides: tuple = (),
-) -> str:
+def world_digest(seed: int) -> str:
     """Digest of everything that determines spec content per rank.
 
     Population size is excluded on purpose — see the module docstring.
-    ``repr`` of the canonical field tuples is stable for the value
-    types a :class:`~repro.web.generator.GeneratorConfig` holds
-    (numbers, strings, enum weight tables).
     """
-    canonical = repr((seed, _config_fields(generator_config), packed_overrides))
+    # The empty tuples once held a generator config and site overrides;
+    # keeping them keeps the digest of every store already on disk.
+    canonical = repr((seed, (), ()))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -187,20 +171,14 @@ class WorldStore:
 
     # -- validation ---------------------------------------------------------
 
-    def require_world(
-        self,
-        seed: int,
-        population_size: int,
-        generator_config: "GeneratorConfig | None" = None,
-        packed_overrides: tuple = (),
-    ) -> None:
+    def require_world(self, seed: int, population_size: int) -> None:
         """Refuse to serve a run whose world this store did not build."""
-        expected = world_digest(seed, generator_config, packed_overrides)
+        expected = world_digest(seed)
         if expected != self.digest:
             raise StoreError(
                 f"{self.path}: store holds a different world "
                 f"(digest {self.digest[:12]}… != expected {expected[:12]}…); "
-                f"rebuild with the run's seed/config/overrides"
+                f"rebuild with the run's seed"
             )
         if population_size > self.population:
             raise StoreError(
@@ -367,37 +345,30 @@ def build_world_store(
     seed: int,
     population: int,
     *,
-    generator_config: "GeneratorConfig | None" = None,
-    overrides: dict[int, dict[str, object]] | None = None,
     rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
     progress=None,
 ) -> WorldStore:
     """Build (or reopen) the store for a world at ``path``.
 
-    An existing store is validated against ``(seed, config, overrides)``
-    and reopened if it matches and is big enough — building a 10^6-row
-    store is the expensive step, so reuse is the default.  ``progress``
+    An existing store is validated against ``seed`` and reopened if it
+    matches and is big enough — building a 10^6-row store is the
+    expensive step, so reuse is the default.  ``progress``
     (``callable(ranks_done)``) is invoked once per flushed page.
     """
     path = Path(path)
     if population < 1:
         raise ValueError("population must be positive")
-    from repro.core.runner import pack_overrides
-
-    packed = pack_overrides(overrides)
-    digest = world_digest(seed, generator_config, packed)
     if (path / META_NAME).exists():
         store = WorldStore(path, budget_bytes=budget_bytes)
-        store.require_world(seed, population, generator_config, packed)
+        store.require_world(seed, population)
         return store
 
     from repro.util.rngtree import RngTree
     from repro.web.generator import SiteGenerator
 
     path.mkdir(parents=True, exist_ok=True)
-    generator = SiteGenerator(RngTree(seed), config=generator_config,
-                              overrides=dict(overrides or {}))
+    generator = SiteGenerator(RngTree(seed))
     encode, _ = table_codec("specs")
     done = 0
     with SegmentWriter(
@@ -416,15 +387,15 @@ def build_world_store(
             "seed": seed,
             "population": population,
             "rows_per_page": rows_per_page,
-            "world_digest": digest,
+            "world_digest": world_digest(seed),
             "tables": {"specs": _SEGMENT_FILES["specs"]},
         },
     )
     return WorldStore(path, budget_bytes=budget_bytes)
 
 
-#: Process-lifetime registry: warm pool workers open each store once
-#: and keep its page cache across shards and epochs.
+#: Process-lifetime registry: pool workers open each store once and
+#: keep its page cache across shards and epochs.
 _OPEN_STORES: dict[str, WorldStore] = {}
 _OPEN_LOCK = threading.Lock()
 

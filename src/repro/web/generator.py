@@ -221,8 +221,8 @@ class SiteGenerator:
         shard, epoch or worker asks first — which is what lets the
         service daemon resume from a checkpoint into a cache with
         different history and still reproduce identical worlds.  The
-        cache's lock is held across the check and the fill, so thread
-        workers sharing one cache never fill it at the same time.
+        cache's lock is held across the check and the fill, so two
+        threads sharing one cache never fill it at the same time.
         """
         cache = self._spec_cache
         if cache is None:

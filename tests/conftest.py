@@ -6,7 +6,8 @@ small one shared by the analysis and integration tests.
 ``paper_pilot`` is large enough for the paper's shape claims (Tables
 1-4, Figures 1-3, §§3, 6.4.2 and 6.4.3) to hold, and runs at several
 seeds.  ``scalar_oracle`` is how equivalence tests reach the batch
-login engine's one scalar oracle.
+login engine's one scalar oracle, and ``perf_off`` is how they reach
+the cold path of every cache in the perf layer.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.email_provider import batch
 from repro.net.dns import DnsResolver
 from repro.net.transport import Transport
 from repro.net.whois import WhoisRegistry
+from repro.perf import caching as _perf
 from repro.sim.clock import SimClock
 from repro.util.rngtree import RngTree
 
@@ -73,6 +75,28 @@ def scalar_oracle(monkeypatch):
             yield
 
     return oracle
+
+
+@pytest.fixture
+def perf_off():
+    """A context manager that turns the perf layer off while it is open.
+
+    Every cache misses inside it, the warm spec cache included, so
+    each shard generates its specs from scratch: the cold reference
+    path that equivalence tests compare cached runs with.  Switching
+    the layer off empties every cache, so the layer reopens cold.
+    """
+
+    @contextlib.contextmanager
+    def off():
+        was_enabled = _perf.enabled()
+        _perf.set_enabled(False)
+        try:
+            yield
+        finally:
+            _perf.set_enabled(was_enabled)
+
+    return off
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ from repro.core.runner import (
     CampaignRunner,
     ShardResultMerger,
     merge_shard_results,
-    pack_overrides,
     partition_sites,
     run_shard,
 )
@@ -69,11 +68,6 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             partition_sites(sites, 0)
 
-    def test_pack_overrides_round_trip(self):
-        packed = pack_overrides({3: {"bucket": "rest", "language": "en"}})
-        assert packed == ((3, (("bucket", "rest"), ("language", "en"))),)
-        assert pack_overrides(None) == ()
-
 
 class TestMergeSemantics:
     def test_merge_is_order_invariant(self, sites):
@@ -104,7 +98,7 @@ class TestDeterminism:
         for workers in (2, 4):
             parallel = CampaignRunner(
                 seed=SEED, population_size=POPULATION,
-                shards=shards, workers=workers, executor="thread",
+                shards=shards, workers=workers, executor="process",
             ).run(sites)
             assert fingerprint(parallel) == fingerprint(baseline)
             assert parallel.stats == baseline.stats
@@ -153,8 +147,9 @@ class TestDeterminism:
 
 class TestRunnerValidation:
     def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(executor="greenlet")
+        for executor in ("greenlet", "thread"):
+            with pytest.raises(ValueError, match="executor"):
+                CampaignRunner(executor=executor)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -207,20 +202,19 @@ class TestScaleOutExecutor:
         assert all(size > 0 for size in result.wire_bytes.values())
 
     def test_no_wire_bytes_without_codec(self, sites):
-        """Only the process backend encodes; the serial and thread
-        backends share memory and record no wire bytes."""
-        for executor in ("serial", "thread"):
-            result = CampaignRunner(
-                seed=SEED, population_size=POPULATION, shards=4,
-                workers=2, executor=executor,
-            ).run(sites)
-            assert result.wire_bytes == {}, executor
-
-    def test_codec_and_warm_do_not_change_results(self, sites):
-        reference = CampaignRunner(
+        """Only the process backend encodes; the serial backend shares
+        memory and records no wire bytes."""
+        result = CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
-            warm_workers=False,
+            workers=2, executor="serial",
         ).run(sites)
+        assert result.wire_bytes == {}
+
+    def test_codec_and_warm_do_not_change_results(self, sites, perf_off):
+        with perf_off():
+            reference = CampaignRunner(
+                seed=SEED, population_size=POPULATION, shards=4,
+            ).run(sites)
         fast = CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
             workers=2, executor="process",
@@ -229,23 +223,22 @@ class TestScaleOutExecutor:
         assert fast.stats == reference.stats
         assert fast.telemetry == reference.telemetry
 
-    def test_persistent_pool_reuse_and_close(self, sites):
-        cold = CampaignRunner(
-            seed=SEED, population_size=POPULATION, shards=4,
-            warm_workers=False, obs_enabled=True,
-        ).run(sites)
+    def test_persistent_pool_reuse_and_close(self, sites, perf_off):
+        with perf_off():
+            cold = CampaignRunner(
+                seed=SEED, population_size=POPULATION, shards=4,
+                obs_enabled=True,
+            ).run(sites)
         with CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
-            workers=2, executor="process", persistent_pool=True,
-            obs_enabled=True,
+            workers=2, executor="process", obs_enabled=True,
         ) as runner:
             first = runner.run(sites)
             pool = runner._pool
             assert pool is not None
             second = runner.run(sites)
             assert runner._pool is pool  # same pool, workers kept warm
-        assert runner._pool is None  # context exit shut it down
-        runner.close()  # idempotent
+        assert runner._pool is None  # leaving the block shut it down
         # The warm pool's steady-state run repeats the cold serial bytes.
         for run in (first, second):
             assert fingerprint(run) == fingerprint(cold)

@@ -3,10 +3,13 @@
 Each config below runs through ``repro.cli.main`` once per leg.  Every
 leg's journal must equal the reference leg's bytes, and flight files
 must be equal across executors — ``cmp(1)`` semantics, not a fuzzy
-diff.  The scalar-oracle leg runs the reference's arguments with the
-batch login engine forced onto its scalar oracle (the ``scalar_oracle``
-fixture); its flight file differs from the others only in the engine's
-own path-mix section, so only its journal is compared.
+diff.  Two legs run inside a fixture's context manager.  The
+scalar-oracle leg runs the reference's arguments with the batch login
+engine forced onto its scalar oracle (the ``scalar_oracle`` fixture);
+its flight file differs from the others only in the engine's own
+path-mix section, so only its journal is compared.  The cold leg runs
+with the perf layer off (the ``perf_off`` fixture), so no cache
+serves it.
 
 After the legs, the ``obs`` verbs render the reference outputs: the ops
 report over each journal, and the dashboard and tail over the flight
@@ -15,7 +18,7 @@ file, whose journal carries the deterministic ``health.*`` verdicts.
 Configs:
 
 - **campaign**: a faulted 40-site campaign.  The cold serial run is
-  the reference; the process legs cover the warm world cache and the
+  the reference; the process leg covers the warm spec cache and the
   wire codec; the store legs read specs off a world store that the
   first of them builds and the second reopens.
 - **serve-traffic**: the daemon with 2000 benign users and the flight
@@ -45,13 +48,14 @@ SERVE_STUFFING = [
     "--stuffing-interval-days", "11", "--stuffing-site-density", "0.1",
 ]
 
-SERIAL = ["--workers", "1", "--executor", "serial"]
-THREAD_4 = ["--workers", "4", "--executor", "thread"]
-PROCESS_2 = ["--workers", "2", "--executor", "process"]
+SERIAL = ["--workers", "1"]
+PROCESS_2 = ["--workers", "2"]
+#: The legs that run inside a fixture's context manager.
+ORACLE_LEG = "oracle-serial"
+COLD_LEG = "serial-cold"
 SERVE_LEGS = {
     "vectorized-serial": SERIAL,
-    "oracle-serial": SERIAL,
-    "thread-4": THREAD_4,
+    ORACLE_LEG: SERIAL,
     "process-2": PROCESS_2,
 }
 
@@ -60,17 +64,14 @@ SERVE_LEGS = {
 #: shared world-store path.
 CONFIGS = {
     "campaign": (CAMPAIGN, {
-        "serial-cold": ["--workers", "1", "--no-warm-workers"],
-        "thread-4": THREAD_4,
-        "process-2-warm": PROCESS_2 + ["--warm-workers"],
-        "process-2-cold": PROCESS_2 + ["--no-warm-workers"],
-        "store-serial": ["--workers", "1", "--world-store", "{store}"],
+        COLD_LEG: SERIAL,
+        "process-2": PROCESS_2,
+        "store-serial": SERIAL + ["--world-store", "{store}"],
         "store-process": PROCESS_2 + ["--world-store", "{store}"],
     }, False),
     "serve-traffic": (SERVE_TRAFFIC, SERVE_LEGS, True),
     "serve-stuffing": (SERVE_STUFFING, SERVE_LEGS, False),
 }
-ORACLE_LEG = "oracle-serial"
 
 
 def reference_leg(config: str) -> str:
@@ -107,6 +108,18 @@ def matrix(tmp_path_factory):
     return Matrix(tmp_path_factory.mktemp("cli-matrix"))
 
 
+@pytest.fixture
+def run_leg(matrix, scalar_oracle, perf_off):
+    """``matrix.run`` inside the leg's context manager, if it has one."""
+    contexts = {ORACLE_LEG: scalar_oracle, COLD_LEG: perf_off}
+
+    def run(config: str, leg: str):
+        with contexts.get(leg, contextlib.nullcontext)():
+            return matrix.run(config, leg)
+
+    return run
+
+
 LEG_CASES = [
     pytest.param(config, leg, id=f"{config}-{leg}")
     for config, (_base, legs, _flight) in CONFIGS.items()
@@ -116,11 +129,9 @@ LEG_CASES = [
 
 @pytest.mark.slow
 @pytest.mark.parametrize("config,leg", LEG_CASES)
-def test_leg_matches_reference_bytes(matrix, scalar_oracle, config, leg):
-    reference = matrix.run(config, reference_leg(config))
-    oracle = scalar_oracle() if leg == ORACLE_LEG else contextlib.nullcontext()
-    with oracle:
-        out = matrix.run(config, leg)
+def test_leg_matches_reference_bytes(run_leg, config, leg):
+    reference = run_leg(config, reference_leg(config))
+    out = run_leg(config, leg)
     assert (out / "journal.jsonl").read_bytes() == (
         reference / "journal.jsonl"
     ).read_bytes()
@@ -132,16 +143,16 @@ def test_leg_matches_reference_bytes(matrix, scalar_oracle, config, leg):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("config", list(CONFIGS))
-def test_ops_report_renders_the_reference_journal(matrix, capsys, config):
-    journal = matrix.run(config, reference_leg(config)) / "journal.jsonl"
+def test_ops_report_renders_the_reference_journal(run_leg, capsys, config):
+    journal = run_leg(config, reference_leg(config)) / "journal.jsonl"
     capsys.readouterr()
     assert main(["obs", "report", str(journal)]) == 0
     assert capsys.readouterr().out.strip()
 
 
 @pytest.mark.slow
-def test_dashboard_tail_and_health_over_the_flight_file(matrix, capsys):
-    out = matrix.run("serve-traffic", reference_leg("serve-traffic"))
+def test_dashboard_tail_and_health_over_the_flight_file(run_leg, capsys):
+    out = run_leg("serve-traffic", reference_leg("serve-traffic"))
     flight = str(out / "flight.jsonl")
     capsys.readouterr()
     assert main(["obs", "top", flight, "--once"]) == 0

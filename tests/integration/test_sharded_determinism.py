@@ -117,7 +117,7 @@ class TestShardedDeterminismUnderFaults:
     def test_workers_do_not_change_faulted_results(self, sites):
         baseline = self.run_with(sites, workers=1, executor="serial")
         assert baseline.fault_report.total_injected > 0  # chaos actually on
-        for workers, executor in ((2, "thread"), (4, "thread"), (2, "process")):
+        for workers, executor in ((2, "process"), (4, "process")):
             parallel = self.run_with(sites, workers=workers, executor=executor)
             assert self.attempt_fingerprint(parallel) == \
                 self.attempt_fingerprint(baseline), (workers, executor)
@@ -128,11 +128,12 @@ class TestShardedDeterminismUnderFaults:
 
 
 class TestWarmExecutorDeterminism:
-    """The PR-5 scale-out layer must not move a bit of merged output.
+    """The scale-out layer must not move a bit of merged output.
 
-    The serial cold run (no warm cache, no codec) is the reference;
-    warm process pools must match its attempts, counters *and* journal
-    bytes for every worker count and fault profile.
+    The serial run with the perf layer off (no warm cache, no codec)
+    is the reference; warm process pools must match its attempts,
+    counters *and* journal bytes for every worker count and fault
+    profile.
     """
 
     SEED = 47
@@ -143,7 +144,7 @@ class TestWarmExecutorDeterminism:
         listing = WorldShard(RngTree(self.SEED)).build_population(self.POPULATION)
         return listing.alexa_top(40)
 
-    def run_with(self, sites, workers, executor, warm, profile):
+    def run_with(self, sites, workers, executor, profile):
         fault_plan = (
             FaultPlan.from_profile(profile, seed=6) if profile != "off" else None
         )
@@ -151,13 +152,13 @@ class TestWarmExecutorDeterminism:
             seed=self.SEED, population_size=self.POPULATION,
             shards=4, workers=workers, executor=executor,
             fault_plan=fault_plan, obs_enabled=True,
-            warm_workers=warm,
         )
         return runner.run(sites)
 
-    def test_warm_process_pool_matches_serial_cold(self, sites):
-        baseline = self.run_with(sites, 1, "serial", warm=False, profile="moderate")
-        warmed = self.run_with(sites, 2, "process", warm=True, profile="moderate")
+    def test_warm_process_pool_matches_serial_cold(self, sites, perf_off):
+        with perf_off():
+            baseline = self.run_with(sites, 1, "serial", profile="moderate")
+        warmed = self.run_with(sites, 2, "process", profile="moderate")
         assert TestShardedDeterminismUnderFaults.attempt_fingerprint(warmed) == \
             TestShardedDeterminismUnderFaults.attempt_fingerprint(baseline)
         assert warmed.fault_report == baseline.fault_report
@@ -167,12 +168,12 @@ class TestWarmExecutorDeterminism:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("profile", ["off", "mild", "moderate"])
-    def test_warm_matrix_journal_bytes(self, sites, profile):
-        baseline = self.run_with(sites, 1, "serial", warm=False, profile=profile)
+    def test_warm_matrix_journal_bytes(self, sites, perf_off, profile):
+        with perf_off():
+            baseline = self.run_with(sites, 1, "serial", profile=profile)
         reference = baseline.journal.to_jsonl()
         for workers in (1, 2, 4):
-            warmed = self.run_with(sites, workers, "process", warm=True,
-                                   profile=profile)
+            warmed = self.run_with(sites, workers, "process", profile=profile)
             assert warmed.journal.to_jsonl() == reference, (profile, workers)
             assert TestShardedDeterminismUnderFaults.attempt_fingerprint(warmed) \
                 == TestShardedDeterminismUnderFaults.attempt_fingerprint(baseline), \

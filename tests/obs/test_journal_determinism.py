@@ -39,7 +39,7 @@ class TestWorkerCountInvariance:
     ):
         baseline = journal_bytes(sites, shards, 1, "serial", profile)
         for workers in (2, 4):
-            parallel = journal_bytes(sites, shards, workers, "thread", profile)
+            parallel = journal_bytes(sites, shards, workers, "process", profile)
             assert parallel == baseline, (shards, profile, workers)
 
     def test_process_pool_matches_serial(self, sites):
@@ -58,7 +58,7 @@ class TestWorkerCountInvariance:
 
     def test_meta_excludes_worker_dependent_fields(self, sites):
         header = json.loads(
-            journal_bytes(sites, 2, 4, "thread", "off").splitlines()[0]
+            journal_bytes(sites, 2, 4, "process", "off").splitlines()[0]
         )
         assert header["record"] == "header"
         # Anything naming the executor or worker count would break the

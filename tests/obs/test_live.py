@@ -133,18 +133,18 @@ class TestFlightByteIdentity:
 
     def test_workers_and_executors_fast(self, tmp_path):
         serial = run_with_flight(tmp_path, "serial")
-        threaded = run_with_flight(
-            tmp_path, "threaded", workers=2, executor="thread"
+        pooled = run_with_flight(
+            tmp_path, "pooled", workers=2, executor="process"
         )
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_mild_faults_fast(self, tmp_path):
         serial = run_with_flight(tmp_path, "serial", fault_profile="mild")
-        threaded = run_with_flight(
-            tmp_path, "threaded", fault_profile="mild",
-            workers=2, executor="thread",
+        pooled = run_with_flight(
+            tmp_path, "pooled", fault_profile="mild",
+            workers=2, executor="process",
         )
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_login_engine_choice_moves_no_snapshot_decision_bytes(
         self, tmp_path, scalar_oracle
@@ -168,8 +168,7 @@ class TestFlightByteIdentity:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("fault_profile", [None, "mild"])
-    @pytest.mark.parametrize("workers,executor",
-                             [(2, "thread"), (2, "process"), (4, "process")])
+    @pytest.mark.parametrize("workers,executor", [(2, "process"), (4, "process")])
     def test_matrix(self, tmp_path, fault_profile, workers, executor):
         reference = run_with_flight(tmp_path, "ref", fault_profile)
         other = run_with_flight(

@@ -1,4 +1,7 @@
-"""The `repro serve` CLI surface: epochs, checkpoints, resume, exit codes."""
+"""The `repro serve` CLI surface: epochs, checkpoints, resume, exit codes.
+
+Bad execution settings are checked the same way for `repro campaign`.
+"""
 
 import dataclasses
 import json
@@ -174,6 +177,8 @@ class TestServe:
          "site_density"),
         (["--traffic-users", "50", "--stuffing-crack-rate", "7"], "crack_rate"),
         (["--stuffing-interval-days", "2"], "traffic_users"),
+        (["--workers", "0"], "workers"),
+        (["--shards", "0"], "shards"),
     ])
     def test_rejects_bad_traffic_and_stuffing_settings(self, tmp_path, args, match):
         store = tmp_path / "store"
@@ -181,3 +186,16 @@ class TestServe:
             main(SERVE_ARGS + ["--world-store", str(store)] + args)
         # The config is checked before the world store is built.
         assert not store.exists()
+
+
+@pytest.mark.parametrize("args,match", [
+    (["--workers", "0"], "workers"),
+    (["--shards", "0"], "shards"),
+])
+def test_campaign_rejects_bad_execution_settings(tmp_path, args, match):
+    """The campaign twin: its runner is built before the world store."""
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match=match):
+        main(["campaign", "--top", "12", "--population", "300",
+              "--world-store", str(store)] + args)
+    assert not store.exists()

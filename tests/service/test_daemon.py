@@ -1,7 +1,5 @@
 """Tests for the campaign daemon: epochs, journal identity, stop."""
 
-import pytest
-
 from repro.service.daemon import CampaignDaemon
 from repro.service.scheduler import ServiceConfig
 from repro.util.timeutil import DAY
@@ -58,7 +56,7 @@ class TestEpochLoop:
         assert indices[-1] == config.epochs * config.shards
 
     def test_journal_meta_is_sim_shaped_only(self):
-        result = CampaignDaemon(make_config(workers=2, executor="thread")).run()
+        result = CampaignDaemon(make_config(workers=2, executor="process")).run()
         meta = result.journal.meta
         assert meta["command"] == "serve"
         assert "workers" not in meta and "executor" not in meta
@@ -69,15 +67,6 @@ class TestEpochLoop:
         assert first.journal.to_jsonl() == second.journal.to_jsonl()
         assert first.detection_digest == second.detection_digest
 
-    def test_journal_bytes_invariant_to_worker_count_thread(self):
-        serial = CampaignDaemon(make_config()).run()
-        threaded = CampaignDaemon(
-            make_config(workers=2, executor="thread")
-        ).run()
-        assert threaded.journal.to_jsonl() == serial.journal.to_jsonl()
-        assert threaded.detection_digest == serial.detection_digest
-
-    @pytest.mark.slow
     def test_journal_bytes_invariant_to_worker_count_process(self):
         serial = CampaignDaemon(make_config()).run()
         pooled = CampaignDaemon(

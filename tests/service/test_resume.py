@@ -119,7 +119,7 @@ class TestKillMatrixFast:
 
     def test_resume_under_different_worker_count(self, tmp_path):
         assert_resume_matches(tmp_path, 0, resume_workers=2,
-                              resume_executor="thread")
+                              resume_executor="process")
 
     def test_kill_resume_with_world_store(self, tmp_path):
         """Killed and resumed with ``--world-store``: the daemon reopens
@@ -168,7 +168,7 @@ class TestKillMatrixSlow:
     @pytest.mark.parametrize("kill_after_epoch", [0, 1])
     @pytest.mark.parametrize("fault_profile", ["mild", "moderate"])
     @pytest.mark.parametrize("resume_workers,resume_executor",
-                             [(2, "thread"), (4, "process")])
+                             [(2, "process"), (4, "process")])
     def test_kill_matrix(self, tmp_path, kill_after_epoch, fault_profile,
                          resume_workers, resume_executor):
         assert_resume_matches(

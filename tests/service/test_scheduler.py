@@ -28,6 +28,15 @@ class TestServiceConfig:
             make_config(checkpoint_every=0)
 
     @pytest.mark.parametrize("kwargs,match", [
+        (dict(shards=0), "shards"),
+        (dict(workers=0), "workers"),
+        (dict(workers=2, executor="thread"), "executor"),
+    ])
+    def test_rejects_bad_execution_settings(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            make_config(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,match", [
         (dict(traffic_users=-5), "traffic_users"),
         (dict(traffic_logins_per_day=-1.0), "traffic_logins_per_day"),
         (dict(traffic_mails_per_day=-0.5), "traffic_mails_per_day"),
@@ -52,7 +61,7 @@ class TestServiceConfig:
 
     def test_sim_meta_excludes_execution_shaping(self):
         meta = make_config(workers=4, executor="process",
-                           warm_workers=False, checkpoint_every=2).sim_meta()
+                           checkpoint_every=2).sim_meta()
         for forbidden in ("workers", "executor", "warm", "checkpoint",
                           "wire", "wall"):
             assert not any(forbidden in key for key in meta), meta.keys()
@@ -60,7 +69,7 @@ class TestServiceConfig:
     def test_sim_meta_invariant_to_execution_knobs(self):
         serial = make_config(workers=1, executor="serial")
         pooled = make_config(workers=4, executor="process",
-                             warm_workers=False, checkpoint_every=3)
+                             checkpoint_every=3)
         assert serial.sim_meta() == pooled.sim_meta()
         assert config_digest(serial) == config_digest(pooled)
 

@@ -96,9 +96,9 @@ class TestEngineEquivalence:
 
 
 class TestExecutorInvariance:
-    @pytest.mark.parametrize("workers,executor", [(2, "thread"), (4, "thread")])
-    def test_thread_pools_match_serial(self, baseline, workers, executor):
-        pooled = run(workers=workers, executor=executor)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_process_pools_match_serial(self, baseline, workers):
+        pooled = run(workers=workers, executor="process")
         assert pooled.journal.to_jsonl() == baseline.journal.to_jsonl()
         assert pooled.stuffing_waves == baseline.stuffing_waves
 

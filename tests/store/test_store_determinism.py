@@ -5,8 +5,8 @@ choice: a campaign reading specs off disk pages must produce merged
 output and journal bytes identical to the in-memory run, for any
 worker count, executor and fault profile.  The matrix here pins that —
 one in-memory reference journal per fault profile, compared
-byte-for-byte against store-backed runs at workers 1 (serial),
-2 (thread) and 4 (process, through the wire codec).
+byte-for-byte against store-backed runs at workers 1 (serial), and
+2 and 4 (process, through the wire codec).
 """
 
 import pytest
@@ -68,10 +68,10 @@ class TestStoreMemoryMatrix:
         assert disk_result.attempts == mem_result.attempts
         assert disk_result.stats == mem_result.stats
 
-    def test_thread_2_identical(self, store_path, fault_profile):
+    def test_process_2_identical(self, store_path, fault_profile):
         memory, _ = run_journal(fault_profile=fault_profile)
         disk, _ = run_journal(
-            world_store=store_path, workers=2, executor="thread",
+            world_store=store_path, workers=2, executor="process",
             fault_profile=fault_profile,
         )
         assert disk == memory

@@ -3,7 +3,7 @@
 The store's contract with the rest of the system:
 
 - a build is **prefix-closed** — the stored specs are exactly what the
-  warm in-memory path generates for the same ``(seed, config)``;
+  warm in-memory path generates for the same seed;
 - reopening validates the manifest and refuses mismatched worlds
   (wrong seed, bigger population) with a clean ``StoreError``;
 - the read path is strictly read-only — nothing a shard does can
@@ -26,7 +26,7 @@ from repro.store import (
 )
 from repro.store.world import close_open_stores
 from repro.util.rngtree import RngTree
-from repro.web.generator import GeneratorConfig, SiteGenerator
+from repro.web.generator import SiteGenerator
 
 SEED = 99
 POPULATION = 300
@@ -80,8 +80,11 @@ class TestValidation:
     def test_digest_excludes_population(self):
         assert world_digest(1) == world_digest(1)
         assert world_digest(1) != world_digest(2)
-        config = GeneratorConfig(shared_backend_rate=0.5)
-        assert world_digest(1, config) != world_digest(1)
+        # Stores already on disk keep opening: the digest is the one
+        # every earlier release wrote for this seed.
+        assert world_digest(7) == (
+            "2641506bc6db6534efdb07eeb5f2dff272dde513aced96458e9de453525b95e9"
+        )
 
     def test_require_world(self, store):
         store.require_world(SEED, POPULATION)
