@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.analysis.table2 import assign_site_letters
 from repro.core.scenario import PilotResult
 from repro.identity.passwords import PasswordClass
-from repro.util.timeutil import SimInstant, month_label
+from repro.util.timeutil import STUDY_END, SimInstant, month_label
 
 
 @dataclass
@@ -52,7 +52,7 @@ def build_fig2(result: PilotResult) -> Fig2Data:
     """Assemble per-site series, sorted by first login time."""
     letters = assign_site_letters(result.monitor)
     timelines = []
-    start = result.config.end
+    start = STUDY_END
     for detection in result.monitor.detected_sites():
         host = detection.site_host
         timeline = SiteTimeline(letter=letters[host], host=host)
@@ -77,7 +77,7 @@ def build_fig2(result: PilotResult) -> Fig2Data:
     return Fig2Data(
         timelines=timelines,
         start=start,
-        end=result.config.end,
+        end=STUDY_END,
         gap_windows=gaps,
     )
 

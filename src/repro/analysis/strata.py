@@ -13,7 +13,7 @@ page cache's budget of specs.
 
 from __future__ import annotations
 
-from repro.analysis.table4 import PAPER_TABLE4, SpecSource
+from repro.analysis.table4 import PAPER_TABLE4
 from repro.store.strata import DEFAULT_STRATA, StrataSampler, StratumIncidence
 from repro.util.tables import render_table
 
@@ -21,13 +21,13 @@ __all__ = ["build_strata_table", "render_strata_table"]
 
 
 def build_strata_table(
-    source: SpecSource,
+    source,
     seed: int,
     *,
     strata: tuple[int, ...] = DEFAULT_STRATA,
     sample_size: int = 100,
 ) -> list[StratumIncidence]:
-    """Per-stratum eligibility incidence over a spec source.
+    """Per-stratum eligibility incidence over a population or store.
 
     ``seed`` should be the world's root seed so the drawn ranks are a
     stable property of the world, not of the analysis invocation.

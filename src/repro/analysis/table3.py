@@ -8,7 +8,7 @@ from repro.analysis.table2 import assign_site_letters
 from repro.core.scenario import PilotResult
 from repro.email_provider.accounts import AccountState
 from repro.util.tables import render_table
-from repro.util.timeutil import days_between
+from repro.util.timeutil import STUDY_END, days_between
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class Table3Row:
 def build_table3(result: PilotResult) -> list[Table3Row]:
     """One row per accessed account, grouped by site letter."""
     letters = assign_site_letters(result.monitor)
-    end = result.config.end
     rows: list[Table3Row] = []
     for detection in result.monitor.detected_sites():
         letter = letters[detection.site_host].lower()
@@ -57,7 +56,7 @@ def build_table3(result: PilotResult) -> list[Table3Row]:
                     password_type=identity.password_class.value if identity else "?",
                     login_count=len(times),
                     days_until_first=days_between(registered, times[0]),
-                    days_since_last=days_between(times[-1], end),
+                    days_since_last=days_between(times[-1], STUDY_END),
                     frozen=frozen,
                     days_accessed=days_between(times[0], times[-1]),
                 )

@@ -9,22 +9,9 @@ windows — the "manual" inspection is exact by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.util.tables import render_table
-
-
-class SpecSource(Protocol):
-    """Any ground-truth spec source: a live population or a world store.
-
-    Satisfied by :class:`repro.web.population.InternetPopulation` and
-    :class:`repro.store.world.WorldStore` — the builder only needs a
-    population size and bucket counts for a rank set.
-    """
-
-    size: int
-
-    def eligibility_ground_truth(self, ranks: list[int]) -> dict[str, int]: ...
+from repro.web.population import eligibility_counts
 
 
 @dataclass(frozen=True)
@@ -59,18 +46,22 @@ PAPER_TABLE4 = {
 
 
 def build_table4(
-    population: SpecSource,
+    population,
     start_ranks: tuple[int, ...] = (1, 1000, 10000),
     sample_size: int = 100,
 ) -> list[Table4Row]:
-    """Survey 100-site windows; windows beyond the population are skipped."""
+    """Survey 100-site windows; windows beyond the population are skipped.
+
+    ``population`` is a live population or a world store: anything
+    with a ``size`` and ``spec_at_rank``.
+    """
     rows = []
     for start in start_ranks:
         end = start + sample_size - 1
         if end > population.size:
             continue
         ranks = list(range(start, end + 1))
-        counts = population.eligibility_ground_truth(ranks)
+        counts = eligibility_counts(population, ranks)
         n = len(ranks)
         rows.append(
             Table4Row(

@@ -343,10 +343,9 @@ def _fault_report_table(report, args: argparse.Namespace) -> str:
 def _run_campaign(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.runner import CampaignRunner
-    from repro.core.substrate import WorldShard
-    from repro.util.rngtree import RngTree
+    from repro.core.runner import CampaignRunner, shared_specs
     from repro.util.tables import render_table
+    from repro.web.population import ranked_top
 
     fault_plan = _fault_plan_from(args)
     # Built first, so bad execution settings fail before any world
@@ -366,12 +365,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
     store = None
     if args.world_store is not None:
         store = _open_or_build_store(args.world_store, args.seed, args.population)
-        sites = store.ranked_top(args.top)
-    else:
-        # The ranked list comes from the substrate alone (no apparatus);
-        # every shard regenerates identical specs from the same root seed.
-        listing = WorldShard(RngTree(args.seed)).build_population(args.population)
-        sites = listing.alexa_top(args.top)
+    specs = shared_specs(args.seed, args.population, runner.world_store)
+    sites = ranked_top(specs, min(args.top, args.population))
 
     print(
         f"campaign: top={len(sites)} shards={args.shards} "

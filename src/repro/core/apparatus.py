@@ -44,8 +44,14 @@ from repro.net.proxies import ResearchProxyPool
 from repro.core.substrate import WorldShard
 from repro.util.rngtree import RngTree
 
+#: The email provider that hosts every Tripwire account.
+PROVIDER_DOMAIN = "bigmail.example"
+
 #: Cover domains whose mail is hosted third-party then relayed to us.
-DEFAULT_COVER_DOMAINS = ("plainmailbox.example", "mailrelay-7.example")
+COVER_DOMAINS = ("plainmailbox.example", "mailrelay-7.example")
+
+#: Research proxy addresses the crawler rotates through.
+PROXY_POOL_SIZE = 64
 
 
 class MeasurementApparatus:
@@ -55,11 +61,8 @@ class MeasurementApparatus:
         self,
         world: WorldShard,
         tree: RngTree,
-        provider_domain: str = "bigmail.example",
         retention_days: int = 60,
         crawler_config: CrawlerConfig | None = None,
-        proxy_pool_size: int = 64,
-        cover_domains: tuple[str, ...] = DEFAULT_COVER_DOMAINS,
     ):
         self.world = world
         self.tree = tree
@@ -74,7 +77,7 @@ class MeasurementApparatus:
 
         # -- email provider and mail chain ---------------------------------
         self.provider = EmailProvider(
-            provider_domain, world.clock, tree, retention_days=retention_days,
+            PROVIDER_DOMAIN, world.clock, tree, retention_days=retention_days,
             obs=obs,
         )
         self.mail_server = TripwireMailServer(
@@ -92,7 +95,7 @@ class MeasurementApparatus:
             retry = plan.retry
             retry_rng = fault_tree.child("mail-retry").rng()
         self.forwarding_hop = ForwardingHop(
-            list(cover_domains), deliver,
+            list(COVER_DOMAINS), deliver,
             retry=retry, clock=world.clock, rng=retry_rng,
             fault_report=self.fault_report if faults_on else None,
             obs=obs,
@@ -110,14 +113,14 @@ class MeasurementApparatus:
             )
 
         # -- identities ------------------------------------------------------
-        self.identity_factory = IdentityFactory(tree, email_domain=provider_domain)
+        self.identity_factory = IdentityFactory(tree, email_domain=PROVIDER_DOMAIN)
         self.pool = IdentityPool()
         self.control_locals: set[str] = set()
         self._forward_index = 0
 
         # -- crawler apparatus ------------------------------------------------
         self.proxy_pool = ResearchProxyPool(
-            world.whois, tree.child("proxies").rng(), pool_size=proxy_pool_size
+            world.whois, tree.child("proxies").rng(), pool_size=PROXY_POOL_SIZE
         )
         solver: CaptchaSolverService = CaptchaSolverService(tree.child("solver").rng())
         if faults_on:

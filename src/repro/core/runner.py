@@ -36,12 +36,12 @@ Scale-out layer
 Three optimizations ride on top, none of which may move a bit of
 merged output:
 
-- **Warm spec cache** (:mod:`repro.perf.warm`): site specs are cached
-  for the process's lifetime, so every shard after the first in a
-  process (serial, or a pool worker) reuses the specs it already
-  generated.  The perf layer's switch (``REPRO_PERF_DISABLE=1`` /
-  ``set_enabled(False)``) turns it off; that cold path is the
-  reference.
+- **Warm spec table** (:mod:`repro.perf.warm`): one prefix-closed
+  table of site specs per seed lives as long as the process, so every
+  shard after the first in a process (serial, or a pool worker)
+  reuses the specs already generated.  The perf layer's switch
+  (``REPRO_PERF_DISABLE=1`` / ``set_enabled(False)``) gives each shard
+  a private table instead; that cold path is the reference.
 - **Wire codec** (:mod:`repro.perf.wire`): the process backend ships
   each shard result as one compact interned-tuple blob instead of a
   default-pickled object graph; per-shard bytes-on-wire are recorded
@@ -110,8 +110,8 @@ class ShardPlan:
     obs_enabled: bool = False
     #: Path of a built :mod:`repro.store` world store, or None for the
     #: in-memory default.  Execution-shaped like the worker count: the
-    #: store holds the same prefix-closed specs the generator would
-    #: produce, so toggling it moves no bit of merged output (the
+    #: store holds the same prefix-closed specs as the spec table, so
+    #: toggling it moves no bit of merged output (the
     #: store≡memory determinism matrix pins this).
     world_store: str | None = None
     #: Scheduler epoch this shard belongs to (service mode).  Epoch 0
@@ -197,6 +197,23 @@ def partition_sites(
     ]
 
 
+def shared_specs(seed: int, population_size: int, world_store: str | None):
+    """The spec source a run's listing and shards all read.
+
+    The world store when one is named (validated against the run's
+    world), else the seed's spec table from :mod:`repro.perf.warm`.
+    Both hold the seed's prefix-closed specs, so the choice moves no
+    output bit.
+    """
+    if world_store is None:
+        return _warm.spec_table_for(seed)
+    from repro.store import open_world_store
+
+    store = open_world_store(world_store)
+    store.require_world(seed, population_size)
+    return store
+
+
 def run_shard(plan: ShardPlan) -> ShardResult:
     """Execute one shard's campaign on a private world.
 
@@ -205,24 +222,13 @@ def run_shard(plan: ShardPlan) -> ShardResult:
     every site may take a hard attempt, a follow-up easy attempt and
     an occasional second hard attempt.
 
-    Site specs come from the world store when the plan names one, else
-    from the process-lifetime spec cache in :mod:`repro.perf.warm`
-    (none with the perf layer off, the cold reference path).  Either
-    way the result is bit-identical: both hold only pure per-rank
-    functions of the seed.
+    Site specs come from :func:`shared_specs`: the world store when
+    the plan names one, else the seed's spec table.
     """
     if plan.epoch == 0:
         namespace: tuple[object, ...] = ("shard", plan.shard_index)
     else:
         namespace = ("epoch", plan.epoch, "shard", plan.shard_index)
-    if plan.world_store is not None:
-        from repro.store import open_world_store
-
-        store = open_world_store(plan.world_store)
-        store.require_world(plan.seed, plan.population_size)
-        spec_cache = store.spec_cache()
-    else:
-        spec_cache = _warm.spec_cache_for(plan.seed, plan.population_size)
     system = TripwireSystem(
         seed=plan.seed,
         population_size=plan.population_size,
@@ -230,7 +236,7 @@ def run_shard(plan: ShardPlan) -> ShardResult:
         apparatus_namespace=namespace,
         fault_plan=plan.fault_plan,
         obs_enabled=plan.obs_enabled,
-        spec_cache=spec_cache,
+        specs=shared_specs(plan.seed, plan.population_size, plan.world_store),
     )
     provisioned = system.provision_identities(
         2 * len(plan.sites) + SPARE_IDENTITIES, PasswordClass.HARD
@@ -359,7 +365,7 @@ class CampaignRunner:
 
     Used as a context manager, the runner keeps one process pool for
     the whole ``with`` block, so its workers keep their warm spec
-    caches across :meth:`run`/:meth:`execute` calls; outside a ``with``
+    tables across :meth:`run`/:meth:`execute` calls; outside a ``with``
     block each call starts and shuts down its own pool.  Neither
     changes an output bit.
     """
@@ -461,7 +467,7 @@ class CampaignRunner:
         """Dispatch prepared shard plans and merge their results.
 
         Re-entrant across epochs: inside a ``with`` block the same
-        worker processes (and their warm spec caches) serve every
+        worker processes (and their warm spec tables) serve every
         call.  ``build_journal=False`` skips per-call journal assembly
         for callers that merge observations across epochs themselves.
         """

@@ -28,12 +28,11 @@ from repro.attacker.checker import CredentialChecker
 from repro.attacker.cracking import crack_records
 from repro.attacker.monetize import Monetizer
 from repro.attacker.profiles import draw_profile
-from repro.core.campaign import RegistrationCampaign, RegistrationPolicy
+from repro.core.campaign import RegistrationCampaign
 from repro.core.disclosure import DisclosureCoordinator
 from repro.core.estimation import CategoryEstimate, SuccessEstimator
 from repro.core.monitor import CompromiseMonitor, DumpIngestion
 from repro.core.system import TripwireSystem
-from repro.crawler.engine import CrawlerConfig
 from repro.faults.plan import FaultPlan
 from repro.identity.passwords import PasswordClass
 from repro.util.timeutil import (
@@ -47,9 +46,25 @@ from repro.util.timeutil import (
     SimInstant,
     instant_from_date,
 )
-from repro.web.generator import GeneratorConfig
 from repro.web.passwords import PasswordStorage
 from repro.web.site import Website
+
+#: Breaches aimed at a site holding only an easy account (site P).
+EASY_ONLY_BREACHES = 1
+
+#: Organic (non-Tripwire) accounts a breached site holds, min and max.
+ORGANIC_ACCOUNTS = (20, 120)
+
+
+def dump_dates() -> tuple[SimInstant, ...]:
+    """Sporadic provider dumps reproducing the Spring-2015 retention gap."""
+    dates = [LOG_GAP_START]  # 2015-03-20: the last dump before the gap
+    cursor = instant_from_date(2015, 8, 1)
+    while cursor < STUDY_END:
+        dates.append(cursor)
+        cursor += 55 * DAY
+    dates.append(STUDY_END)
+    return tuple(dates)
 
 
 @dataclass
@@ -64,24 +79,16 @@ class ScenarioConfig:
     manual_top: int = 50  # paper: 500
     breach_count: int = 19
     breach_hard_exposing: int = 10  # sites where hard passwords leak
-    breach_easy_only_site: int = 1  # a site with only an easy account (site P)
     unused_account_count: int = 1000  # paper: >100,000
     control_account_count: int = 8
-    organic_accounts_range: tuple[int, int] = (20, 120)
     retention_days: int = 60
-    test_fraction: float = 1.0  # attacker credential-sampling rate
     avoided_domains: tuple[str, ...] = ()  # attacker provider avoidance
-    registration_policy: RegistrationPolicy = RegistrationPolicy.HARD_FIRST
     #: Shared-backend site pairs (the paper's sites E/F): one breach
     #: exposes the whole family, with temporally aligned checking.
     site_family_count: int = 1
     #: §6.1.4: one re-registered site gets breached again (site H was
     #: the only site whose post-detection account was accessed).
     rebreach_one_site: bool = True
-    end: SimInstant = STUDY_END
-    dump_dates: tuple[SimInstant, ...] | None = None
-    generator_config: GeneratorConfig | None = None
-    crawler_config: CrawlerConfig | None = None
     site_overrides: dict[int, dict[str, object]] = field(default_factory=dict)
     #: Deterministic chaos: None (or an all-zero plan) reproduces the
     #: fault-free run bit for bit.
@@ -89,18 +96,6 @@ class ScenarioConfig:
     #: Observability: spans, metrics and events recorded against the
     #: sim clock.  Off by default — the no-op path costs nothing.
     obs_enabled: bool = False
-
-    def default_dump_dates(self) -> tuple[SimInstant, ...]:
-        """Sporadic dumps reproducing the Spring-2015 retention gap."""
-        if self.dump_dates is not None:
-            return self.dump_dates
-        dates = [LOG_GAP_START]  # 2015-03-20: the last dump before the gap
-        cursor = instant_from_date(2015, 8, 1)
-        while cursor < self.end:
-            dates.append(cursor)
-            cursor += 55 * DAY
-        dates.append(self.end)
-        return tuple(dates)
 
 
 @dataclass
@@ -150,14 +145,12 @@ class PilotScenario:
             seed=cfg.seed,
             population_size=cfg.population_size,
             retention_days=cfg.retention_days,
-            generator_config=cfg.generator_config,
-            crawler_config=cfg.crawler_config,
             site_overrides=cfg.site_overrides or None,
             fault_plan=cfg.fault_plan,
             obs_enabled=cfg.obs_enabled,
         )
         self._rng = self.system.tree.child("scenario").rng()
-        self.campaign = RegistrationCampaign(self.system, policy=cfg.registration_policy)
+        self.campaign = RegistrationCampaign(self.system)
         self.monitor = CompromiseMonitor(
             self.system.pool, self.system.control_locals, self.system.provider.domain
         )
@@ -175,9 +168,8 @@ class PilotScenario:
             self.system.queue,
             self.system.tree.child("checker").rng(),
             monetizer=self.monetizer,
-            test_fraction=cfg.test_fraction,
             avoided_domains=frozenset(cfg.avoided_domains),
-            horizon=cfg.end,
+            horizon=STUDY_END,
         )
         self.disclosure = DisclosureCoordinator(
             self.system.dns, self.system.tree.child("disclosure").rng()
@@ -237,7 +229,7 @@ class PilotScenario:
         self._disclose_detected()
 
         # Run out the clock; the final dump lands at the end date.
-        system.queue.run_until(cfg.end)
+        system.queue.run_until(STUDY_END)
         # Late detections (sites tripped after the November batch) are
         # disclosed at the end of the observation window.
         self._disclose_detected()
@@ -322,12 +314,12 @@ class PilotScenario:
         # Sporadic one-shot dump dates; the shared DumpIngestion step
         # (also driven recurrently by service mode) does the collection
         # and handles fault-postponed hand-offs.
-        for when in self.config.default_dump_dates():
+        for when in dump_dates():
             self.system.queue.schedule(when, "provider-dump", self._dump_ingestion)
 
     def _schedule_control_logins(self) -> None:
         cursor = SEED_CRAWL_START
-        while cursor < self.config.end:
+        while cursor < STUDY_END:
             self.system.queue.schedule(
                 cursor, "control-logins", self.system.login_control_accounts
             )
@@ -443,7 +435,7 @@ class PilotScenario:
             targets.append((site, method))
             self._hard_exposing_scheduled += 1
 
-        easy_only_quota = max(0, cfg.breach_easy_only_site - self._easy_only_scheduled_count)
+        easy_only_quota = max(0, EASY_ONLY_BREACHES - self._easy_only_scheduled_count)
         for _ in range(max(0, min(easy_only_quota, count - len(targets)))):
             site = take(pools["easy_only"])
             if site is None:
@@ -499,9 +491,8 @@ class PilotScenario:
             self._breach_one(sibling, sibling_event, profile)
 
     def _breach_one(self, site: Website, event: BreachEvent, profile) -> None:
-        cfg = self.config
         self._executed_breach_hosts.add(site.spec.host)
-        site.seed_organic_accounts(self._rng.randint(*cfg.organic_accounts_range))
+        site.seed_organic_accounts(self._rng.randint(*ORGANIC_ACCOUNTS))
         stolen = execute_breach(site, event, obs=self.system.obs)
         cracked = crack_records(stolen, event.time)
         started = self.checker.launch(cracked, profile)
@@ -576,7 +567,7 @@ class PilotScenario:
         site = self.system.population.site_by_host(host)
         if site is None:
             return
-        latest = cfg.end - 45 * DAY
+        latest = STUDY_END - 45 * DAY
         earliest = self.system.clock.now() + 30 * DAY
         if earliest >= latest:
             return

@@ -4,9 +4,10 @@ A :class:`WorldShard` bundles the simulation kernel (clock + event
 queue), the network plane (transport, WHOIS, DNS) and the lazily
 instantiated website population.  Shards are cheap and independent:
 a sharded campaign builds one per rank-partition, each from the same
-root seed, so every shard generates byte-identical site specs for the
-ranks it touches while keeping all mutable state (clock, request logs,
-site storage) private to the shard.
+root seed and reading one shared spec source (the seed's prefix-closed
+spec table or a world store), so every shard sees byte-identical site
+specs for the ranks it touches while keeping all mutable state (clock,
+request logs, site storage) private to the shard.
 
 The apparatus layer (:mod:`repro.core.apparatus`) is wired against the
 :mod:`repro.sim.protocols` seams, never against a shard directly, so
@@ -23,6 +24,8 @@ to serial with chaos enabled.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.faults.injectors import DnsFaultInjector, TransportFaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultReport
@@ -34,18 +37,22 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
 from repro.util.rngtree import RngTree
 from repro.util.timeutil import STUDY_START, SimInstant
-from repro.web.generator import GeneratorConfig
 from repro.web.population import InternetPopulation
 from repro.web.site import MailRouter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.world import WorldStore
+    from repro.web.generator import SpecTable
 
 
 class WorldShard:
     """One self-contained slice of the simulated world.
 
     The substrate tree passed in governs site-spec generation; two
-    shards built from the same tree agree on every spec (host names,
-    eligibility, registration style) for every rank, which is what
-    makes sharded results mergeable against a single ranked list.
+    shards that read one prefix-closed spec source agree on every spec
+    (host names, eligibility, registration style) for every rank,
+    which is what makes sharded results mergeable against a single
+    ranked list.
     """
 
     def __init__(
@@ -88,9 +95,8 @@ class WorldShard:
         self,
         size: int,
         mail_router: MailRouter | None = None,
-        config: GeneratorConfig | None = None,
         overrides: dict[int, dict[str, object]] | None = None,
-        spec_cache: object | None = None,
+        specs: "SpecTable | WorldStore | None" = None,
     ) -> InternetPopulation:
         """Attach the ranked population (once) and return it.
 
@@ -110,8 +116,7 @@ class WorldShard:
             self.dns,
             size=size,
             mail_router=mail_router,
-            config=config,
             overrides=overrides,
-            spec_cache=spec_cache,
+            specs=specs,
         )
         return self.population

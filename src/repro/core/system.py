@@ -11,12 +11,15 @@ and tests are unaffected by the decomposition.
 
 Sharded campaign execution (:mod:`repro.core.runner`) builds one
 system per rank-partition with an ``apparatus_namespace`` so each
-shard mints distinct identities while agreeing on the site population.
+shard mints distinct identities, and hands every shard the same spec
+source (``specs=``) so they agree on the site population.
 """
 
 from __future__ import annotations
 
-from repro.core.apparatus import DEFAULT_COVER_DOMAINS, MeasurementApparatus
+from typing import TYPE_CHECKING
+
+from repro.core.apparatus import MeasurementApparatus
 from repro.core.substrate import WorldShard
 from repro.crawler.engine import CrawlerConfig
 from repro.email_provider.batch import LoginBatch
@@ -27,9 +30,12 @@ from repro.mail.messages import EmailMessage
 from repro.net.ipaddr import IPv4Address
 from repro.util.rngtree import RngTree
 from repro.util.timeutil import STUDY_START, SimInstant
-from repro.web.generator import GeneratorConfig
 
-__all__ = ["DEFAULT_COVER_DOMAINS", "TripwireSystem"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.world import WorldStore
+    from repro.web.generator import SpecTable
+
+__all__ = ["TripwireSystem"]
 
 
 class TripwireSystem:
@@ -39,17 +45,14 @@ class TripwireSystem:
         self,
         seed: int = 7,
         population_size: int = 30000,
-        provider_domain: str = "bigmail.example",
         retention_days: int = 60,
         start: SimInstant = STUDY_START,
-        generator_config: GeneratorConfig | None = None,
         crawler_config: CrawlerConfig | None = None,
         site_overrides: dict[int, dict[str, object]] | None = None,
-        proxy_pool_size: int = 64,
         apparatus_namespace: tuple[object, ...] = (),
         fault_plan: FaultPlan | None = None,
         obs_enabled: bool = False,
-        spec_cache: object | None = None,
+        specs: "SpecTable | WorldStore | None" = None,
     ):
         self.tree = RngTree(seed)
         #: The apparatus draws from a (possibly shard-namespaced) tree
@@ -65,20 +68,18 @@ class TripwireSystem:
         self.apparatus = MeasurementApparatus(
             self.world,
             self.apparatus_tree,
-            provider_domain=provider_domain,
             retention_days=retention_days,
             crawler_config=crawler_config,
-            proxy_pool_size=proxy_pool_size,
         )
-        #: ``spec_cache`` shares generated site specs between the
-        #: systems of one world: the warm cache (:mod:`repro.perf.warm`)
-        #: or a world store's read-only adapter.
+        #: ``specs`` shares site specs between the systems of one run:
+        #: the seed's prefix-closed table (:mod:`repro.perf.warm`) or a
+        #: world store.  Without it the population generates its own,
+        #: in the order this system visits ranks.
         self.population = self.world.build_population(
             population_size,
             mail_router=self.route_site_mail,
-            config=generator_config,
             overrides=site_overrides,
-            spec_cache=spec_cache,
+            specs=specs,
         )
 
         # -- flat aliases into the layers (the pre-decomposition API) ------

@@ -22,7 +22,7 @@ executors, exactly like the journal.
 
 Wall-clock profiling — per-epoch dispatch seconds, logins/s,
 process-local cache hit rates (LRU caches, the world store's page
-cache, the warm spec cache) — is execution-shaped and therefore rides
+cache, the warm spec table) — is execution-shaped and therefore rides
 a clearly separated side channel: ``<flight>.wall`` next to the flight
 file, never cmp'd, never journaled, appended without atomicity
 guarantees.  Nothing from the side channel ever feeds back into

@@ -44,8 +44,8 @@ from repro.core.runner import (
     ShardResult,
     ShardTelemetry,
     merge_shard_results,
+    shared_specs,
 )
-from repro.core.substrate import WorldShard
 from repro.core.system import TripwireSystem
 from repro.faults.report import FaultReport
 from repro.identity.passwords import PasswordClass
@@ -57,9 +57,8 @@ from repro.perf.caching import cache_stats
 from repro.service.checkpoint import Checkpoint, config_digest, save_checkpoint
 from repro.service.lifecycle import AccountLifecycle, LifecycleStats, ServiceStream
 from repro.service.scheduler import EpochScheduler, ServiceConfig
-from repro.util.rngtree import RngTree
 from repro.util.timeutil import SimInstant
-from repro.web.population import RankedSite
+from repro.web.population import RankedSite, ranked_top
 
 
 @dataclass
@@ -122,7 +121,8 @@ class CampaignDaemon:
 
     One :class:`~repro.core.runner.CampaignRunner`, entered once for
     the whole loop, serves every epoch from one pool, so worker
-    processes keep their warm spec caches across dispatches.  :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
+    processes keep their warm spec tables across dispatches.
+    :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
     lets the in-flight epoch finish, checkpoints it, and exits the loop
     — a *graceful* stop; a hard kill merely loses epochs after the last
     checkpoint, which a resume re-runs from their pure plans.
@@ -157,20 +157,12 @@ class CampaignDaemon:
     def ranked_sites(self) -> list[RankedSite]:
         """The full ranked list the waves are staggered over.
 
-        Substrate-only (no apparatus), same as the batch CLI: every
-        crawl shard regenerates identical specs from the root seed.
-        With a world store configured, the listing comes off disk pages
-        instead — same hosts, same order, no population build.
+        Read from the spec source every crawl shard reads (the world
+        store, or the seed's spec table), capped at the population.
         """
         cfg = self.config
-        if cfg.world_store is not None:
-            from repro.store import open_world_store
-
-            store = open_world_store(cfg.world_store)
-            store.require_world(cfg.seed, cfg.population_size)
-            return store.ranked_top(cfg.top)
-        listing = WorldShard(RngTree(cfg.seed)).build_population(cfg.population_size)
-        return listing.alexa_top(cfg.top)
+        specs = shared_specs(cfg.seed, cfg.population_size, cfg.world_store)
+        return ranked_top(specs, min(cfg.top, cfg.population_size))
 
     def _build_service_world(self) -> tuple[TripwireSystem, CompromiseMonitor]:
         """The daemon's own world: provider, honey accounts, monitor.

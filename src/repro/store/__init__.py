@@ -19,8 +19,8 @@ row tuples) from shard-result *transport* into a persistent *backend*:
   wire codec's interning helpers;
 - :mod:`repro.store.world` — the :class:`WorldStore` directory format
   (meta + segments), prefix-closed build from a
-  :class:`~repro.web.generator.SiteGenerator`, and the read-only
-  spec-cache adapter the generator and shard workers consume;
+  :class:`~repro.web.generator.SiteGenerator`, and the read-only spec
+  source that listings and shard workers consume;
 - :mod:`repro.store.strata` — multi-strata rank sampling
   (1k/10k/100k/1M) in the style of Common Crawl's Tranco top-K
   sampling, preserving per-stratum Table-4 incidence.
@@ -40,7 +40,6 @@ from repro.store.segment import (
 from repro.store.strata import DEFAULT_STRATA, Stratum, StrataSampler
 from repro.store.world import (
     STORE_SCHEMA,
-    StoreSpecCache,
     WorldStore,
     build_world_store,
     open_world_store,
@@ -56,7 +55,6 @@ __all__ = [
     "SegmentReader",
     "SegmentWriter",
     "StoreError",
-    "StoreSpecCache",
     "Stratum",
     "StrataSampler",
     "WorldStore",

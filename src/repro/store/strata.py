@@ -19,26 +19,14 @@ sample size of a different stratum changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.util.rngtree import RngTree
+from repro.web.population import eligibility_counts
 
 __all__ = ["DEFAULT_STRATA", "Stratum", "StrataSampler"]
 
 #: The canonical stratum bounds (top-N rank windows).
 DEFAULT_STRATA = (1_000, 10_000, 100_000, 1_000_000)
-
-
-class SpecSource(Protocol):
-    """Anything that can answer Table-4 bucket counts for a rank set.
-
-    Satisfied by :class:`repro.web.population.InternetPopulation` and
-    :class:`repro.store.world.WorldStore` alike.
-    """
-
-    size: int
-
-    def eligibility_ground_truth(self, ranks: list[int]) -> dict[str, int]: ...
 
 
 @dataclass(frozen=True)
@@ -134,16 +122,17 @@ class StrataSampler:
             )
         return out
 
-    def incidence(self, source: SpecSource) -> list[StratumIncidence]:
+    def incidence(self, source) -> list[StratumIncidence]:
         """Per-stratum Table-4 bucket fractions from a spec source.
 
-        The source only ever sees the sampled ranks, so a store-backed
-        pass touches ``O(samples)`` pages regardless of world size.
+        ``source`` is a population or a world store.  It only ever sees
+        the sampled ranks, so a store-backed pass touches ``O(samples)``
+        pages regardless of world size.
         """
         results = []
         for stratum in self.strata_samples():
             ranks = list(stratum.ranks)
-            counts = source.eligibility_ground_truth(ranks)
+            counts = eligibility_counts(source, ranks)
             n = len(ranks)
             results.append(
                 StratumIncidence(

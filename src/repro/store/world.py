@@ -10,10 +10,13 @@ Layout of a store at ``PATH``::
 
 **Building** streams a :class:`~repro.web.generator.SiteGenerator` in
 rank order straight into segment pages — the prefix-closed generation
-the warm cache relies on, but writing pages instead of dicts, so peak
-memory is one page's rows no matter the population.  **Reading** goes
-through one budgeted :class:`~repro.store.pagecache.PageCache` shared
-by all of a store's segments.
+of a :class:`~repro.web.generator.SpecTable`, but writing pages instead
+of a list, so peak memory is one page's rows no matter the population.
+**Reading** goes through one budgeted
+:class:`~repro.store.pagecache.PageCache` shared by all of a store's
+segments.  A store is a spec source in its own right: shards and
+listings read :meth:`WorldStore.spec_at_rank` directly, and nothing
+ever generates or writes a spec through it.
 
 A store is identified by its **world digest** — a hash of the seed,
 deliberately excluding population size: specs are pure per-rank
@@ -25,7 +28,7 @@ instead of silently diverging.
 
 :func:`open_world_store` keeps a process-lifetime registry so a pool
 worker (many shards and epochs) opens the store and fills its page
-cache once, mirroring :mod:`repro.perf.warm`'s in-memory spec cache.
+cache once, mirroring :mod:`repro.perf.warm`'s in-memory spec table.
 """
 
 from __future__ import annotations
@@ -49,12 +52,10 @@ from repro.store.segment import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.campaign import AttemptRecord
     from repro.identity.records import Identity
-    from repro.web.population import RankedSite
     from repro.web.spec import SiteSpec
 
 __all__ = [
     "STORE_SCHEMA",
-    "StoreSpecCache",
     "WorldStore",
     "build_world_store",
     "open_world_store",
@@ -81,58 +82,6 @@ def world_digest(seed: int) -> str:
     # keeping them keeps the digest of every store already on disk.
     canonical = repr((seed, (), ()))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class _SpecMapping:
-    """Read-only rank -> spec view satisfying the generator's cache use.
-
-    :meth:`~repro.web.generator.SiteGenerator.spec_for_rank` probes
-    ``cache.specs.get(rank)`` and falls back to prefix-closed fill on a
-    miss; a fully built store always hits for ranks within the
-    population, and anything outside is a loud :class:`StoreError`
-    (filling would silently regenerate what the store exists to hold).
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "WorldStore"):
-        self._store = store
-
-    def get(self, rank: int, default=None):
-        return self._store.spec_at_rank(rank)
-
-    def __getitem__(self, rank: int):
-        return self._store.spec_at_rank(rank)
-
-    def __setitem__(self, rank: int, spec) -> None:
-        raise StoreError(
-            f"{self._store.path}: store is read-only (attempted to write "
-            f"rank {rank}); rebuild the store to change the world"
-        )
-
-    def __len__(self) -> int:
-        return self._store.population
-
-    def __contains__(self, rank: int) -> bool:
-        return 1 <= rank <= self._store.population
-
-
-class StoreSpecCache:
-    """A :class:`repro.web.generator.SpecCacheLike` view over a store.
-
-    Drop-in for the warm layer's in-memory ``SpecCache``: the
-    generator reads specs through ``specs`` and never generates, so
-    ``hosts_taken`` stays empty (collision handling happened at build
-    time, prefix-closed); ``lock`` is the protocol's fill lock.
-    """
-
-    __slots__ = ("specs", "hosts_taken", "lock", "store")
-
-    def __init__(self, store: "WorldStore"):
-        self.store = store
-        self.specs = _SpecMapping(store)
-        self.hosts_taken: set[str] = set()
-        self.lock = threading.Lock()
 
 
 class WorldStore:
@@ -167,7 +116,6 @@ class WorldStore:
         self.page_cache = PageCache(budget_bytes)
         self._lock = threading.Lock()
         self._readers: dict[str, SegmentReader] = {}
-        self._spec_cache: StoreSpecCache | None = None
 
     # -- validation ---------------------------------------------------------
 
@@ -227,44 +175,10 @@ class WorldStore:
         stop = self.population if stop_rank is None else min(stop_rank, self.population)
         return self._reader("specs").iter_rows(start_rank - 1, stop)
 
-    def ranked_top(self, n: int) -> "list[RankedSite]":
-        """The canonical ranking's top ``n``, read from disk pages.
-
-        Byte-identical to
-        :meth:`repro.web.population.InternetPopulation.alexa_top` over
-        the same world — the store≡memory contract's listing half.
-        """
-        from repro.web.population import RankedSite
-
-        return [
-            RankedSite(rank=spec.rank, host=spec.host, url=f"http://{spec.host}/")
-            for spec in self.iter_specs(1, min(n, self.population))
-        ]
-
-    def eligibility_ground_truth(self, ranks: list[int]) -> dict[str, int]:
-        """Table-4 bucket counts for a rank set (streamed, not retained).
-
-        Same contract as
-        :meth:`~repro.web.population.InternetPopulation.eligibility_ground_truth`,
-        so the Table 4 builder accepts either source.
-        """
-        counts = {"load_failure": 0, "non_english": 0, "no_registration": 0,
-                  "ineligible": 0, "rest": 0}
-        for rank in ranks:
-            counts[self.spec_at_rank(rank).eligibility_bucket] += 1
-        return counts
-
     @property
     def size(self) -> int:
-        """Population size (the spec-source protocol's field)."""
+        """Population size, as on a population (Table 4 reads it)."""
         return self.population
-
-    def spec_cache(self) -> StoreSpecCache:
-        """The shared read-only spec-cache adapter for this store."""
-        with self._lock:
-            if self._spec_cache is None:
-                self._spec_cache = StoreSpecCache(self)
-            return self._spec_cache
 
     # -- results tables -----------------------------------------------------
 

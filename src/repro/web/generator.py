@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.data.sites import SHARED_BACKENDS, SITE_CATEGORIES, SITE_NAME_STEMS, SITE_NAME_SUFFIXES, TLDS
 from repro.util.rngtree import RngTree, weighted_choice
@@ -84,9 +83,9 @@ def bot_check_prob(rank: int) -> float:
     return 0.37 + (log_rank - 2.0) / 2.0 * (0.15 - 0.37)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
-    """Tunable incidence rates for generated sites."""
+    """Incidence rates for generated sites (one instance, :data:`RATES`)."""
 
     multistage_rate: float = 0.10
     ambiguous_response_rate: float = 0.36
@@ -132,21 +131,6 @@ class GeneratorConfig:
     )
 
 
-class SpecCacheLike(Protocol):
-    """A shared site-spec table (see :class:`repro.perf.warm.SpecCache`).
-
-    Declared here as a Protocol so the web layer never imports the perf
-    layer; any object with these three attributes qualifies.  ``lock``
-    serializes the prefix-closed fill: generators on different threads
-    share ``hosts_taken``, and a fill must see exactly the hosts of the
-    ranks below it.
-    """
-
-    specs: dict[int, SiteSpec]
-    hosts_taken: set[str]
-    lock: threading.Lock
-
-
 def _storage_weights(rank: int) -> tuple[tuple[str, float], ...]:
     """Password-storage mix; small sites store passwords worse."""
     import math
@@ -161,35 +145,32 @@ def _storage_weights(rank: int) -> tuple[tuple[str, float], ...]:
     )
 
 
+#: The rates every generator draws with.
+RATES = GeneratorConfig()
+
+
 class SiteGenerator:
     """Draws :class:`SiteSpec` objects deterministically by rank.
 
-    ``spec_cache`` (see :mod:`repro.perf.warm`) shares the generated
-    spec table across generators built from the same seed and config:
-    each rank's spec is a pure function of ``(seed, config, overrides,
-    rank)`` — the per-rank RNG stream is derived from the tree alone —
-    so a warm worker re-running a world regenerates nothing.  Specs are
-    never mutated after generation (the generator itself writes
-    ``notes`` before publishing), which is what makes sharing instances
-    across worlds in one process safe.
+    Each rank draws from its own child RNG of the tree; the one
+    cross-rank input is the host-collision set, so a rank's host
+    depends on which ranks this generator drew before it.
+    :meth:`spec_at_rank` generates on demand and memoizes, so a world
+    that owns its generator (the pilot, the service world) gets specs
+    in its own visit order; :class:`SpecTable` is the order-free
+    alternative.  Specs are never mutated after generation (the
+    generator itself writes ``notes`` before publishing).
     """
 
     def __init__(
         self,
         rng_tree: RngTree,
-        config: GeneratorConfig | None = None,
         overrides: dict[int, dict[str, object]] | None = None,
-        spec_cache: "SpecCacheLike | None" = None,
     ):
         self._tree = rng_tree.child("site-generator")
-        self.config = config or GeneratorConfig()
         self._overrides = dict(overrides or {})
-        self._spec_cache = spec_cache
-        #: With a shared cache, collision avoidance consults the shared
-        #: host set so cached and freshly generated specs never clash.
-        self._hosts_taken: set[str] = (
-            spec_cache.hosts_taken if spec_cache is not None else set()
-        )
+        self._specs: dict[int, SiteSpec] = {}
+        self._hosts_taken: set[str] = set()
 
     def _host_for(self, rank: int, rng: random.Random, backend: str | None) -> str:
         tld = weighted_choice(rng, TLDS)
@@ -210,42 +191,21 @@ class SiteGenerator:
         self._hosts_taken.add(host)
         return host
 
-    def spec_for_rank(self, rank: int) -> SiteSpec:
-        """The spec for one rank (from the shared cache when warm).
-
-        A shared cache is filled **prefix-closed**: every missing rank
-        below the requested one is generated first, in rank order, so
-        the host-collision set a rank sees is always exactly the hosts
-        of ranks ``1..rank-1``.  That makes each cached spec a pure
-        function of ``(seed, config, rank)`` — independent of which
-        shard, epoch or worker asks first — which is what lets the
-        service daemon resume from a checkpoint into a cache with
-        different history and still reproduce identical worlds.  The
-        cache's lock is held across the check and the fill, so two
-        threads sharing one cache never fill it at the same time.
-        """
-        cache = self._spec_cache
-        if cache is None:
-            return self._generate(rank)
-        with cache.lock:
-            spec = cache.specs.get(rank)
-            if spec is not None:
-                return spec
-            # All inserts go through this loop, so cache keys are always
-            # the contiguous range 1..len(specs).
-            for missing in range(len(cache.specs) + 1, rank + 1):
-                cache.specs[missing] = self._generate(missing)
-            return cache.specs[rank]
+    def spec_at_rank(self, rank: int) -> SiteSpec:
+        """The spec for one rank, generated on first request."""
+        spec = self._specs.get(rank)
+        if spec is None:
+            spec = self._specs[rank] = self._generate(rank)
+        return spec
 
     def iter_specs(self, up_to: int):
         """Stream specs for ranks ``1..up_to`` in order, O(1) retained.
 
-        The streaming twin of the prefix-closed cache fill: generating
-        strictly in rank order gives every rank the same host-collision
-        history a cache fill would, so the yielded specs are identical
-        to ``spec_for_rank`` over the same range — this is what the
-        world store's segment builder consumes, without holding the
-        spec table in memory.
+        Generating strictly in rank order gives every rank the same
+        host-collision history a :class:`SpecTable` fill would, so the
+        yielded specs equal the table's over the same range; this is
+        what the world store's segment builder consumes, without
+        holding the specs in memory.
         """
         if up_to < 1:
             raise ValueError("up_to must be positive")
@@ -255,7 +215,7 @@ class SiteGenerator:
     def _generate(self, rank: int) -> SiteSpec:
         """Generate (deterministically) the spec for one rank."""
         rng = self._tree.child("rank", rank).rng()
-        cfg = self.config
+        cfg = RATES
 
         overrides = self._overrides.get(rank, {})
         backend = None
@@ -392,3 +352,29 @@ class SiteGenerator:
 
         log_rank = math.log10(max(rank, 1))
         return max(0.35, 0.85 - 0.12 * log_rank)
+
+
+class SpecTable:
+    """One seed's site specs, filled prefix-closed under one lock.
+
+    Requesting rank *r* first generates every missing rank below it,
+    in rank order, so the host-collision set rank *r* sees is always
+    exactly the hosts of ranks ``1..r-1``.  Each spec is then a pure
+    function of ``(seed, rank)``, whichever shard, epoch or worker asks
+    first, and equals the world store's row for that rank.  The lock
+    is held across the check and the fill, so threads sharing a table
+    never fill it at the same time.
+    """
+
+    def __init__(self, seed: int):
+        self._generator = SiteGenerator(RngTree(seed))
+        self._specs: list[SiteSpec] = []
+        self._lock = threading.Lock()
+
+    def spec_at_rank(self, rank: int) -> SiteSpec:
+        """The spec for a rank of at least 1."""
+        with self._lock:
+            specs = self._specs
+            for missing in range(len(specs) + 1, rank + 1):
+                specs.append(self._generator._generate(missing))
+            return specs[rank - 1]

@@ -1,8 +1,15 @@
 """The ranked internet population and its wiring to the substrate.
 
-Builds sites lazily: specs are generated per rank on demand, and a
+Builds sites lazily: specs come per rank from a spec source, and a
 :class:`repro.web.site.Website` is only instantiated (plus DNS, WHOIS
 and transport registration) when something actually visits the host.
+
+A spec source is anything with ``spec_at_rank(rank)``: the
+population's own :class:`~repro.web.generator.SiteGenerator`
+(generating on demand, in visit order), a prefix-closed
+:class:`~repro.web.generator.SpecTable` shared by every shard of a
+run, or a :class:`~repro.store.world.WorldStore`.  :func:`ranked_top`
+and :func:`eligibility_counts` read any of them.
 
 Two ranking providers are emulated: the canonical ranking plays the
 role of Alexa; the Quantcast list is the same population re-ranked with
@@ -14,6 +21,7 @@ meaningful operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.net.dns import DnsResolver
 from repro.net.ipaddr import IPv4Address
@@ -21,9 +29,12 @@ from repro.net.transport import Transport
 from repro.net.whois import HostKind, WhoisRegistry
 from repro.sim.clock import SimClock
 from repro.util.rngtree import RngTree
-from repro.web.generator import GeneratorConfig, SiteGenerator
+from repro.web.generator import SiteGenerator, SpecTable
 from repro.web.site import MailRouter, Website
 from repro.web.spec import SiteSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.world import WorldStore
 
 
 @dataclass(frozen=True)
@@ -47,10 +58,11 @@ class InternetPopulation:
         dns: DnsResolver,
         size: int = 30000,
         mail_router: MailRouter | None = None,
-        config: GeneratorConfig | None = None,
         overrides: dict[int, dict[str, object]] | None = None,
-        spec_cache: object | None = None,
+        specs: "SpecTable | WorldStore | None" = None,
     ):
+        """``specs`` is a shared spec source; without one the population
+        generates its own specs, with ``overrides`` pinned."""
         if size < 1:
             raise ValueError("population size must be positive")
         self.size = size
@@ -60,10 +72,7 @@ class InternetPopulation:
         self._whois = whois
         self._dns = dns
         self._mail_router = mail_router
-        self._generator = SiteGenerator(
-            rng_tree, config=config, overrides=overrides, spec_cache=spec_cache
-        )
-        self._specs: dict[int, SiteSpec] = {}
+        self._specs = SiteGenerator(rng_tree, overrides) if specs is None else specs
         self._sites: dict[str, Website] = {}
         self._host_to_rank: dict[str, int] = {}
         self._hosting_blocks: list = []
@@ -72,14 +81,11 @@ class InternetPopulation:
     # -- spec and site access -----------------------------------------------------
 
     def spec_at_rank(self, rank: int) -> SiteSpec:
-        """The (cached) spec for a rank in [1, size]."""
+        """The spec for a rank in [1, size]."""
         if not 1 <= rank <= self.size:
             raise ValueError(f"rank {rank} outside population [1, {self.size}]")
-        spec = self._specs.get(rank)
-        if spec is None:
-            spec = self._generator.spec_for_rank(rank)
-            self._specs[rank] = spec
-            self._host_to_rank[spec.host] = rank
+        spec = self._specs.spec_at_rank(rank)
+        self._host_to_rank[spec.host] = rank
         return spec
 
     def site_at_rank(self, rank: int) -> Website:
@@ -129,12 +135,7 @@ class InternetPopulation:
 
     def alexa_top(self, n: int) -> list[RankedSite]:
         """The canonical ranking's top ``n`` entries."""
-        n = min(n, self.size)
-        entries = []
-        for rank in range(1, n + 1):
-            spec = self.spec_at_rank(rank)
-            entries.append(RankedSite(rank=rank, host=spec.host, url=f"http://{spec.host}/"))
-        return entries
+        return ranked_top(self, min(n, self.size))
 
     def quantcast_top(self, n: int) -> list[RankedSite]:
         """A second provider's noisy re-ranking of the same population.
@@ -162,12 +163,20 @@ class InternetPopulation:
             entries.append(RankedSite(rank=position, host=spec.host, url=f"http://{spec.host}/"))
         return entries
 
-    # -- ground truth for analysis ------------------------------------------------------
 
-    def eligibility_ground_truth(self, ranks: list[int]) -> dict[str, int]:
-        """Bucket counts for a set of ranks (Table 4's manual survey)."""
-        counts = {"load_failure": 0, "non_english": 0, "no_registration": 0,
-                  "ineligible": 0, "rest": 0}
-        for rank in ranks:
-            counts[self.spec_at_rank(rank).eligibility_bucket] += 1
-        return counts
+def ranked_top(specs, n: int) -> list[RankedSite]:
+    """The canonical ranking's top ``n`` entries from a spec source."""
+    entries = []
+    for rank in range(1, n + 1):
+        spec = specs.spec_at_rank(rank)
+        entries.append(RankedSite(rank=rank, host=spec.host, url=f"http://{spec.host}/"))
+    return entries
+
+
+def eligibility_counts(specs, ranks) -> dict[str, int]:
+    """Table 4's bucket counts for a rank set, from a spec source."""
+    counts = {"load_failure": 0, "non_english": 0, "no_registration": 0,
+              "ineligible": 0, "rest": 0}
+    for rank in ranks:
+        counts[specs.spec_at_rank(rank).eligibility_bucket] += 1
+    return counts

@@ -81,10 +81,11 @@ def scalar_oracle(monkeypatch):
 def perf_off():
     """A context manager that turns the perf layer off while it is open.
 
-    Every cache misses inside it, the warm spec cache included, so
-    each shard generates its specs from scratch: the cold reference
-    path that equivalence tests compare cached runs with.  Switching
-    the layer off empties every cache, so the layer reopens cold.
+    Every cache misses inside it.  The warm spec table is not shared
+    either: each shard, and each listing, fills its own private table,
+    prefix-closed like the shared one.  This is the cold reference path
+    that equivalence tests compare cached runs with.  Switching the
+    layer off empties every cache, so the layer reopens cold.
     """
 
     @contextlib.contextmanager

@@ -12,8 +12,8 @@ class TestGeneratorProperties:
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=100))
     @settings(max_examples=80, deadline=None)
     def test_spec_deterministic_for_any_rank_and_seed(self, rank, seed):
-        a = SiteGenerator(RngTree(seed)).spec_for_rank(rank)
-        b = SiteGenerator(RngTree(seed)).spec_for_rank(rank)
+        a = SiteGenerator(RngTree(seed)).spec_at_rank(rank)
+        b = SiteGenerator(RngTree(seed)).spec_at_rank(rank)
         assert a.host == b.host
         assert a.language == b.language
         assert a.registration_style == b.registration_style
@@ -35,7 +35,7 @@ class TestGeneratorProperties:
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=60, deadline=None)
     def test_spec_internal_consistency(self, rank):
-        spec = SiteGenerator(RngTree(77)).spec_for_rank(rank)
+        spec = SiteGenerator(RngTree(77)).spec_at_rank(rank)
         # Hidden links imply neutral registration paths.
         if spec.link_placement in (LinkPlacement.IMAGE_ONLY, LinkPlacement.UNLINKED):
             assert "signup" not in spec.registration_path

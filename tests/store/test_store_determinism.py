@@ -11,11 +11,14 @@ byte-for-byte against store-backed runs at workers 1 (serial), and
 
 import pytest
 
+from repro.cli import main
 from repro.core.runner import CampaignRunner
 from repro.core.substrate import WorldShard
 from repro.faults.plan import FaultPlan
 from repro.store import build_world_store
+from repro.store.world import close_open_stores
 from repro.util.rngtree import RngTree
+from repro.web.population import ranked_top
 
 SEED = 7
 POPULATION = 120
@@ -27,6 +30,14 @@ SHARDS = 4
 def store_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("determinism") / "ws"
     build_world_store(path, SEED, POPULATION).close()
+    return path
+
+
+@pytest.fixture(scope="module")
+def oversized_store(tmp_path_factory):
+    """A 400-site store, larger than the runs that read it."""
+    path = tmp_path_factory.mktemp("oversized") / "ws"
+    build_world_store(path, SEED, 400).close()
     return path
 
 
@@ -92,14 +103,30 @@ class TestStoreMemoryMatrixSlow:
 class TestStoreListings:
     def test_store_sites_equal_memory_sites(self, store_path):
         from repro.store import open_world_store
-        from repro.store.world import close_open_stores
 
         listing = WorldShard(RngTree(SEED)).build_population(POPULATION)
         store = open_world_store(store_path)
         try:
-            assert store.ranked_top(TOP) == listing.alexa_top(TOP)
+            assert ranked_top(store, TOP) == listing.alexa_top(TOP)
         finally:
             close_open_stores()
+
+    @pytest.mark.parametrize(
+        "command", [["campaign"], ["serve", "--epochs", "2"]], ids=["campaign", "serve"]
+    )
+    def test_store_larger_than_the_run(self, oversized_store, tmp_path, capsys, command):
+        """``--top`` above ``--population`` over a bigger store lists the
+        population's top 200, as the in-memory run does, and writes the
+        same journal."""
+        argv = [*command, "--top", "300", "--population", "200", "--seed", str(SEED)]
+        try:
+            assert main(argv + ["--world-store", str(oversized_store),
+                                "--obs-out", str(tmp_path / "store.jsonl")]) == 0
+        finally:
+            close_open_stores()
+        assert main(argv + ["--obs-out", str(tmp_path / "memory.jsonl")]) == 0
+        store_journal = (tmp_path / "store.jsonl").read_bytes()
+        assert store_journal == (tmp_path / "memory.jsonl").read_bytes()
 
     def test_mismatched_plan_fails_loudly(self, store_path):
         from repro.core.runner import run_shard

@@ -4,6 +4,7 @@ import pytest
 
 from repro.store import DEFAULT_STRATA, StrataSampler, build_world_store
 from repro.store.world import close_open_stores
+from repro.web.population import eligibility_counts
 
 SEED = 99
 POPULATION = 300
@@ -70,7 +71,7 @@ class TestIncidence:
         sampler = StrataSampler(SEED, POPULATION, strata=(100, 1_000))
         rows = sampler.incidence(store)
         for row in rows:
-            counts = store.eligibility_ground_truth(list(row.stratum.ranks))
+            counts = eligibility_counts(store, row.stratum.ranks)
             n = row.stratum.sample_size
             assert row.load_failure == counts["load_failure"] / n
             assert row.rest == counts["rest"] / n

@@ -2,12 +2,13 @@
 
 The store's contract with the rest of the system:
 
-- a build is **prefix-closed** — the stored specs are exactly what the
-  warm in-memory path generates for the same seed;
+- a build is **prefix-closed** — the stored specs are exactly the
+  in-memory spec table's for the same seed;
 - reopening validates the manifest and refuses mismatched worlds
   (wrong seed, bigger population) with a clean ``StoreError``;
-- the read path is strictly read-only — nothing a shard does can
-  mutate the world on disk;
+- the read path is strictly read-only — a store is a spec source that
+  never generates, so nothing a shard does can mutate the world on
+  disk;
 - campaign results persist as ``accounts``/``telemetry`` tables that
   round-trip losslessly.
 """
@@ -16,7 +17,6 @@ import json
 
 import pytest
 
-from repro.perf.warm import SpecCache
 from repro.store import (
     StoreError,
     WorldStore,
@@ -26,7 +26,8 @@ from repro.store import (
 )
 from repro.store.world import close_open_stores
 from repro.util.rngtree import RngTree
-from repro.web.generator import SiteGenerator
+from repro.web.generator import SpecTable
+from repro.web.population import eligibility_counts, ranked_top
 
 SEED = 99
 POPULATION = 300
@@ -42,25 +43,22 @@ def store(tmp_path_factory):
 
 class TestBuild:
     def test_specs_match_warm_memory_path(self, store):
-        generator = SiteGenerator(RngTree(SEED), spec_cache=SpecCache())
-        expected = [generator.spec_for_rank(r) for r in range(1, POPULATION + 1)]
+        table = SpecTable(SEED)
+        expected = [table.spec_at_rank(r) for r in range(1, POPULATION + 1)]
         assert list(store.iter_specs()) == expected
 
     def test_ranked_top_matches_population_listing(self, store):
         from repro.core.substrate import WorldShard
 
         listing = WorldShard(RngTree(SEED)).build_population(POPULATION)
-        assert store.ranked_top(40) == listing.alexa_top(40)
+        assert ranked_top(store, 40) == listing.alexa_top(40)
 
     def test_eligibility_matches_population(self, store):
         from repro.core.substrate import WorldShard
 
         listing = WorldShard(RngTree(SEED)).build_population(POPULATION)
         ranks = list(range(1, 101))
-        assert (
-            store.eligibility_ground_truth(ranks)
-            == listing.eligibility_ground_truth(ranks)
-        )
+        assert eligibility_counts(store, ranks) == eligibility_counts(listing, ranks)
 
     def test_reopen_is_validated_reuse(self, store, tmp_path):
         # Same path, same world: build_world_store reopens, not rebuilds.
@@ -114,24 +112,27 @@ class TestValidation:
             store.spec_at_rank(POPULATION + 1)
 
 
-class TestReadOnlySpecCache:
-    def test_satisfies_generator_protocol(self, store):
-        cache = store.spec_cache()
-        generator = SiteGenerator(RngTree(SEED), spec_cache=cache)
-        direct = SiteGenerator(RngTree(SEED), spec_cache=SpecCache())
-        assert generator.spec_for_rank(42) == direct.spec_for_rank(42)
-        assert len(cache.specs) == POPULATION
-        assert 42 in cache.specs
+class TestStoreAsSpecSource:
+    def test_population_reads_the_store(self, store):
+        """A population over the store serves the table's specs and
+        instantiates sites from them."""
+        from repro.core.substrate import WorldShard
 
-    def test_writes_rejected(self, store):
-        cache = store.spec_cache()
-        with pytest.raises(StoreError, match="read-only"):
-            cache.specs[1] = None
+        population = WorldShard(RngTree(SEED)).build_population(
+            POPULATION, specs=store
+        )
+        assert population.spec_at_rank(42) == SpecTable(SEED).spec_at_rank(42)
+        assert population.site_at_rank(42).spec.host == store.spec_at_rank(42).host
 
     def test_out_of_range_is_loud(self, store):
-        cache = store.spec_cache()
-        with pytest.raises(StoreError):
-            cache.specs.get(POPULATION + 1)
+        """Past its rows a store raises; it never generates a spec."""
+        from repro.core.substrate import WorldShard
+
+        population = WorldShard(RngTree(SEED)).build_population(
+            POPULATION + 10, specs=store
+        )
+        with pytest.raises(StoreError, match="outside stored population"):
+            population.spec_at_rank(POPULATION + 1)
 
 
 class TestRegistry:

@@ -7,8 +7,8 @@ from repro.net.transport import HostUnreachable, Transport
 from repro.net.whois import WhoisRegistry
 from repro.sim.clock import SimClock
 from repro.util.rngtree import RngTree
-from repro.web.generator import SiteGenerator, bot_check_prob, eligibility_probs
-from repro.web.population import InternetPopulation
+from repro.web.generator import SiteGenerator, SpecTable, bot_check_prob, eligibility_probs
+from repro.web.population import InternetPopulation, eligibility_counts
 from repro.web.spec import RegistrationStyle
 
 
@@ -22,14 +22,14 @@ def population():
 
 class TestGeneratorDistributions:
     def test_specs_deterministic(self):
-        a = SiteGenerator(RngTree(5)).spec_for_rank(10)
-        b = SiteGenerator(RngTree(5)).spec_for_rank(10)
+        a = SiteGenerator(RngTree(5)).spec_at_rank(10)
+        b = SiteGenerator(RngTree(5)).spec_at_rank(10)
         assert a.host == b.host
         assert a.password_storage == b.password_storage
 
     def test_hosts_unique_across_ranks(self):
         generator = SiteGenerator(RngTree(6))
-        hosts = {generator.spec_for_rank(rank).host for rank in range(1, 301)}
+        hosts = {generator.spec_at_rank(rank).host for rank in range(1, 301)}
         assert len(hosts) == 300
 
     def test_eligibility_probs_interpolation(self):
@@ -49,7 +49,7 @@ class TestGeneratorDistributions:
             overrides={3: {"category": "Deals", "password_storage": "plaintext",
                            "bucket": "rest"}},
         )
-        spec = generator.spec_for_rank(3)
+        spec = generator.spec_at_rank(3)
         assert spec.category == "Deals"
         assert spec.password_storage == "plaintext"
         assert spec.eligibility_bucket == "rest"
@@ -57,18 +57,18 @@ class TestGeneratorDistributions:
     def test_unknown_override_rejected(self):
         generator = SiteGenerator(RngTree(8), overrides={1: {"no_such_field": 1}})
         with pytest.raises(ValueError):
-            generator.spec_for_rank(1)
+            generator.spec_at_rank(1)
 
     def test_non_english_sites_use_non_english_lexicon(self):
         generator = SiteGenerator(RngTree(9))
-        non_english = [generator.spec_for_rank(r) for r in range(1, 400)]
+        non_english = [generator.spec_at_rank(r) for r in range(1, 400)]
         samples = [s for s in non_english if not s.is_english]
         assert samples, "expected some non-English sites"
         assert all(s.language != "en" for s in samples)
 
     def test_population_level_bucket_rates(self):
         generator = SiteGenerator(RngTree(10))
-        specs = [generator.spec_for_rank(r) for r in range(1, 1001)]
+        specs = [generator.spec_at_rank(r) for r in range(1, 1001)]
         non_english = sum(1 for s in specs if s.eligibility_bucket == "non_english")
         # Table 4: 37-53% around these ranks.
         assert 0.30 <= non_english / len(specs) <= 0.55
@@ -123,7 +123,7 @@ class TestPopulation:
         assert len(hosts) == len(set(hosts))
 
     def test_eligibility_ground_truth_sums(self, population):
-        counts = population.eligibility_ground_truth(list(range(1, 101)))
+        counts = eligibility_counts(population, range(1, 101))
         assert sum(counts.values()) == 100
 
     def test_mx_absent_for_some_sites(self):
@@ -144,7 +144,7 @@ class TestSpecInvariants:
     def test_eligible_requires_english_and_local_registration(self):
         generator = SiteGenerator(RngTree(11))
         for rank in range(1, 301):
-            spec = generator.spec_for_rank(rank)
+            spec = generator.spec_at_rank(rank)
             if spec.eligible_for_tripwire:
                 assert spec.is_english
                 assert spec.registration_style in (
@@ -155,9 +155,24 @@ class TestSpecInvariants:
     def test_bucket_consistency(self):
         generator = SiteGenerator(RngTree(12))
         for rank in range(1, 301):
-            spec = generator.spec_for_rank(rank)
+            spec = generator.spec_at_rank(rank)
             bucket = spec.eligibility_bucket
             if bucket == "non_english":
                 assert not spec.is_english
             if bucket == "rest":
                 assert spec.eligible_for_tripwire
+
+
+class TestSpecTable:
+    def test_visit_order_does_not_matter(self):
+        """Visited deepest rank first, a table still matches one filled
+        in rank order; a generator visited that way does not (host
+        collisions depend on which ranks it drew before)."""
+        table, generator = SpecTable(13), SiteGenerator(RngTree(13))
+        for rank in range(300, 0, -1):
+            table.spec_at_rank(rank)
+            generator.spec_at_rank(rank)
+        in_order = SpecTable(13)
+        expected = [in_order.spec_at_rank(r) for r in range(1, 301)]
+        assert [table.spec_at_rank(r) for r in range(1, 301)] == expected
+        assert [generator.spec_at_rank(r) for r in range(1, 301)] != expected
