@@ -641,8 +641,15 @@ def _run_survey(args: argparse.Namespace) -> int:
     from repro.analysis.report import survey_ranks_for
     from repro.analysis.table4 import build_table4, render_table4
     from repro.core.system import TripwireSystem
+    from repro.perf.warm import spec_table_for
 
-    system = TripwireSystem(seed=args.seed, population_size=args.population)
+    # The seed's prefix-closed specs: the same table a world store of
+    # this seed holds, whichever windows the survey visits.
+    system = TripwireSystem(
+        seed=args.seed,
+        population_size=args.population,
+        specs=spec_table_for(args.seed),
+    )
     ranks = survey_ranks_for(args.population)
     print(render_table4(build_table4(system.population, ranks)))
     return 0

@@ -243,10 +243,10 @@ class AccountTable:
         """Append the benign block of ``count`` unmonitored rows.
 
         Stores no strings: the block's locals and passwords are
-        derived from the row index.  The numeric columns grow by
-        ``count`` entries each, allocated whole.  A table holds one
-        block; registering a second one, or a block whose namespace a
-        named row already holds, raises.  Returns the first row.
+        derived from the row index.  Each numeric column is rebuilt at
+        its final length by :func:`grown`.  A table holds one block;
+        registering a second one, or a block whose namespace a named
+        row already holds, raises.  Returns the first row.
         """
         if not 0 <= count <= BENIGN_CAPACITY:
             raise ValueError(f"block size must lie in [0, {BENIGN_CAPACITY}]")
@@ -257,13 +257,13 @@ class AccountTable:
             if i is not None and i < count:
                 raise ValueError(f"named account {key!r} is in the benign namespace")
         first = len(self.states)
-        self.created_at.extend(array("q", [created_at]) * count)
-        self.states.extend(bytes(count))
-        self.state_changed_at.extend(array("q", [NEVER_CHANGED]) * count)
-        zeros = bytes(8 * count)
-        self.received_counts.frombytes(zeros)
-        self.spam_counts.frombytes(zeros)
-        self.monitored.extend(bytes(count))
+        size = first + count
+        self.created_at = grown(self.created_at, created_at, size)
+        self.states = grown(self.states, 0, size)
+        self.state_changed_at = grown(self.state_changed_at, NEVER_CHANGED, size)
+        self.received_counts = grown(self.received_counts, 0, size)
+        self.spam_counts = grown(self.spam_counts, 0, size)
+        self.monitored = grown(self.monitored, 0, size)
         self.benign_first = first
         self.benign_count = count
         return first
@@ -271,6 +271,21 @@ class AccountTable:
     def view(self, row: int) -> "ProviderAccount":
         """A live row proxy (reads and writes go to the columns)."""
         return ProviderAccount(self, row)
+
+
+def grown(column, fill, size: int):
+    """A copy of ``column`` (an ``array`` or ``bytearray``) padded to
+    ``size`` entries of ``fill``.
+
+    The copy is built at its final length and the old entries copied
+    in, so its memory is written once; extending ``column`` from a
+    filled temporary would write the new part twice.
+    """
+    new = column[:0]
+    new.append(fill)
+    new *= size
+    new[: len(column)] = column
+    return new
 
 
 class ProviderAccount:

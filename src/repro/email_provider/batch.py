@@ -70,12 +70,18 @@ that fired inside the window.
 
 from __future__ import annotations
 
+from array import array
 from operator import eq
 
 import numpy as np
 
 from repro.email_provider.provider import NO_ENTRY, NO_IP, STATE_RESULT_CODES
-from repro.email_provider.telemetry import METHOD_CODES, METHOD_ORDER, LoginMethod
+from repro.email_provider.telemetry import (
+    METHOD_CODES,
+    METHOD_ORDER,
+    LoginMethod,
+    narrow,
+)
 from repro.net.ipaddr import IPv4Address
 from repro.util.timeutil import SimInstant
 
@@ -83,6 +89,9 @@ from repro.util.timeutil import SimInstant
 #: per-operation overhead loses to the plain loop on tiny batches (the
 #: service's single-event attacker/probe bridges in particular).
 VECTOR_MIN_EVENTS = 32
+
+#: Evidence-log positions are int32, so the log holds fewer entries.
+_LOG_POSITIONS = 1 << 31
 
 #: Shared empty sorted-key array (the hot-row cache's rest state).
 _EMPTY_KEYS = np.empty(0, np.int64)
@@ -505,23 +514,31 @@ class BatchLoginEngine:
         appends one evidence-log entry; the cached distinct bound bumps
         when the source differs from the row's first-seen IP, which a
         never-seen row adopts.  Gathers and scatters are safe because
-        the rows are unique within the batch.
+        the rows are unique within the batch.  The entries are narrowed
+        to the log's 32-bit widths before anything is written: an
+        instant or IP at or past 2**32, or a row or log position at or
+        past 2**31, raises OverflowError.
         """
         provider = self._provider
         m = c_rows.size
+        base = len(provider._log_times)
+        if base + m > _LOG_POSITIONS:
+            raise OverflowError("evidence-log positions do not fit int32")
+        log_times = array("I", [now]) * m
+        log_ips = narrow(c_ips, np.uint32)
+        log_rows = narrow(c_rows, np.int32)
         fails_np = np.frombuffer(provider._fail_count, dtype=np.uint8)
         held = c_rows[fails_np[c_rows] != NO_ENTRY]
         if held.size:
             fails_np[held] = 0
         # Evidence-log bulk append: one window, one extend per column,
         # chain threading as a gather + scatter.
-        head_np = np.frombuffer(provider._ip_head, dtype=np.int64)
-        base = len(provider._log_times)
+        head_np = np.frombuffer(provider._ip_head, dtype=np.int32)
         provider._log_prev.frombytes(head_np[c_rows].tobytes())
-        head_np[c_rows] = np.arange(base, base + m, dtype=np.int64)
-        provider._log_times.frombytes(np.full(m, now, dtype=np.int64).tobytes())
-        provider._log_ips.frombytes(c_ips.tobytes())
-        provider._log_rows.frombytes(c_rows.tobytes())
+        head_np[c_rows] = np.arange(base, base + m)
+        provider._log_times.extend(log_times)
+        provider._log_ips.frombytes(log_ips.tobytes())
+        provider._log_rows.frombytes(log_rows.tobytes())
         first_np = np.frombuffer(provider._ip_first, dtype=np.uint64)
         firsts = first_np[c_rows]
         unset = firsts == NO_IP

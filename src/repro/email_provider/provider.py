@@ -45,6 +45,17 @@ is compact and incremental:
   entries out of the shared log, so a multi-year ``repro serve`` run
   holds state proportional to *recently active* accounts only.
 
+The state that grows is per login, not per account, so every per-login
+column is as narrow as its values: Unix-second instants and IPv4
+addresses fit uint32, row and log positions int32.  A cold row's
+successful login costs 29 bytes: 16 in the evidence log (time, IP,
+row, chain link) and 13 in the telemetry log (row, time, IP, a method
+byte).  A benign row's login state costs 25 bytes, 59 with its account
+columns.  A value that does not fit — an instant or IP at or past
+2**32, a row or log position at or past 2**31 — raises
+``OverflowError`` on the scalar and the batch path alike; nothing is
+stored wrapped.
+
 :meth:`attempt_login` is the scalar path; the vectorized batch path
 over the same columns lives in :mod:`repro.email_provider.batch` and
 is decision-for-decision identical to it.
@@ -65,6 +76,7 @@ from repro.email_provider.accounts import (
     ProviderAccount,
     ProvisioningResult,
     STATE_CODES,
+    grown,
 )
 from repro.email_provider.telemetry import (
     METHOD_CODES,
@@ -191,22 +203,24 @@ class EmailProvider:
         #: row through ``_log_prev``/``_ip_head`` so a single row's
         #: history can be walked without scanning the log.  Entries
         #: whose row column is -1 are tombstones left by promotion and
-        #: reclaimed by :meth:`evict_expired`.
-        self._log_times = array("q")
-        self._log_ips = array("Q")
-        self._log_rows = array("q")
-        self._log_prev = array("q")
+        #: reclaimed by :meth:`evict_expired`.  16 bytes an entry:
+        #: uint32 time and IP, int32 row and previous position.
+        self._log_times = array("I")
+        self._log_ips = array("I")
+        self._log_rows = array("i")
+        self._log_prev = array("i")
         #: Per-row head of the log chain (-1 = no cold history).
-        self._ip_head = array("q")
+        self._ip_head = array("i")
         #: Per-row cached distinct-IP counter: an upper bound on the
         #: windowed distinct count for cold rows (never pruned down
         #: until eviction), the *exact* pruned count for hot rows.
         self._ip_distinct = array("I")
         #: Per-row first-seen IP (:data:`NO_IP` until the first
-        #: successful login).  A cold login bumps the row's bound iff
-        #: its source differs from this — the typical single-address
-        #: account never bumps past 1, and diverse-source abuse bumps
-        #: on nearly every event, which is all the bound must capture.
+        #: successful login; 64-bit to hold that sentinel).  A cold
+        #: login bumps the row's bound iff its source differs from
+        #: this — the typical single-address account never bumps past
+        #: 1, and diverse-source abuse bumps on nearly every event,
+        #: which is all the bound must capture.
         self._ip_first = array("Q")
         #: Hot rows only: row -> [ring, counts] where ``ring`` is a
         #: deque of packed ``(time << 32) | ip`` ints and ``counts``
@@ -277,20 +291,18 @@ class EmailProvider:
         """Extend the row-indexed login-state columns for new rows.
 
         A provisioned account appends one row.  The benign block,
-        registered once, builds each column whole and copies the old
-        rows in, writing the new memory once; extending would write it
-        twice (a filled temporary, then the copy), which at 10^6 rows
-        costs about 10 ms more.
+        registered once, rebuilds each column at its new length by
+        :func:`~repro.email_provider.accounts.grown`, writing the new
+        memory once; extending would write it twice (a filled
+        temporary, then the copy), which at 10^6 rows costs about 10 ms
+        more.
         """
         for name, fill in _LOGIN_STATE_FILL:
             column = getattr(self, name)
             if count == 1:
                 column.append(fill)
             else:
-                size = len(column)
-                grown = array(column.typecode, [fill]) * (size + count)
-                grown[:size] = column
-                setattr(self, name, grown)
+                setattr(self, name, grown(column, fill, len(column) + count))
 
     def account(self, local_part: str) -> ProviderAccount | None:
         """Fetch a live account view (None if absent)."""
@@ -331,6 +343,25 @@ class EmailProvider:
             "ip_window_promotions": self.ip_window_promotions,
             "throttle_evictions": self.throttle_evictions,
             "ip_window_evictions": self.ip_window_evictions,
+        }
+
+    def login_state_bytes(self) -> dict:
+        """Bytes the login-state columns hold (live reports only).
+
+        Length × itemsize of the evidence log, the telemetry log and
+        the row-indexed login-state columns; hot rows' windows are
+        Python objects and are not counted.  The bytes depend on the
+        column widths, an implementation detail, so unlike
+        :meth:`login_state_sizes` they never enter a flight snapshot.
+        """
+        return {
+            "evidence_log_bytes": _column_bytes(
+                (self._log_times, self._log_ips, self._log_rows, self._log_prev)
+            ),
+            "telemetry_bytes": _column_bytes(self.telemetry.columns()),
+            "row_state_bytes": _column_bytes(
+                getattr(self, name) for name, _ in _LOGIN_STATE_FILL
+            ),
         }
 
     def batch_engine_stats(self) -> dict:
@@ -498,8 +529,13 @@ class EmailProvider:
         event from somewhere other than the row's first-seen address
         bumps the bound); no pruning happens until the cached bound
         first reaches the suspicion threshold (promotion) or eviction
-        compacts the log.
+        compacts the log.  An instant or IP outside 32 bits raises
+        before anything is written: the log columns would refuse it,
+        and a hot row's packed ring would let the IP bleed into the
+        time.
         """
+        if (now | ip_int) >> 32:
+            raise OverflowError(f"login at {now} from {ip_int} does not fit 32 bits")
         hot = self._ip_hot.get(row)
         if hot is not None:
             window, counts = hot
@@ -519,8 +555,10 @@ class EmailProvider:
                 self.ip_window_pruned += pruned
             self._ip_distinct[row] = len(counts)
             return
-        self._log_prev.append(self._ip_head[row])
+        prev = self._ip_head[row]
+        # int32: a log position at or past 2**31 raises before the log grows.
         self._ip_head[row] = len(self._log_times)
+        self._log_prev.append(prev)
         self._log_times.append(now)
         self._log_ips.append(ip_int)
         self._log_rows.append(row)
@@ -702,12 +740,14 @@ class EmailProvider:
         survivors is left for the caller to truncate.  Temporaries are
         dropped as soon as they are spent: the log is at its largest
         when it is compacted, so they set the process's peak memory.
+        The views are as narrow as the columns, so are the gathers made
+        from them; only the stable order is intp.
         """
-        times = np.frombuffer(self._log_times, dtype=np.int64)
-        ips = np.frombuffer(self._log_ips, dtype=np.uint64)
-        rows = np.frombuffer(self._log_rows, dtype=np.int64)
-        prev = np.frombuffer(self._log_prev, dtype=np.int64)
-        head = np.frombuffer(self._ip_head, dtype=np.int64)
+        times = np.frombuffer(self._log_times, dtype=np.uint32)
+        ips = np.frombuffer(self._log_ips, dtype=np.uint32)
+        rows = np.frombuffer(self._log_rows, dtype=np.int32)
+        prev = np.frombuffer(self._log_prev, dtype=np.int32)
+        head = np.frombuffer(self._ip_head, dtype=np.int32)
         distinct = np.frombuffer(self._ip_distinct, dtype=np.uint32)
         firsts = np.frombuffer(self._ip_first, dtype=np.uint64)
         live = rows >= 0
@@ -878,6 +918,11 @@ class EmailProvider:
     def collect_login_dump(self) -> list[LoginEvent]:
         """Export the sporadic login dump for all accounts (Section 4.2)."""
         return self.telemetry.collect_dump(self._clock.now())
+
+
+def _column_bytes(columns) -> int:
+    """Bytes held by ``array`` and ``bytearray`` columns."""
+    return sum(len(column) * getattr(column, "itemsize", 1) for column in columns)
 
 
 _FROZEN = STATE_CODES[AccountState.FROZEN]

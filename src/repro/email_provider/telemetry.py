@@ -8,10 +8,11 @@ reproduces when dumps are collected too far apart.
 
 Storage is columnar (struct-of-arrays): parallel account-row/``time``/
 ``ip``/``method`` columns instead of one :class:`LoginEvent` object
-per login.  Under the heavy-traffic login front-end the log holds the
-*whole* provider's successes — millions of benign logins per sim-day
-around a handful of honey-account events — and three operations must
-stay cheap at that scale:
+per login, 13 bytes an event (int32 row, uint32 time and IP, one
+method byte).  Under the heavy-traffic login front-end the log holds
+the *whole* provider's successes — millions of benign logins per
+sim-day around a handful of honey-account events — and three
+operations must stay cheap at that scale:
 
 - **append** — :meth:`record_rows` bulk-extends the columns with one
   bounds check per batch (the per-event :meth:`record_row` remains for
@@ -59,6 +60,19 @@ METHOD_ORDER: tuple[LoginMethod, ...] = tuple(LoginMethod)
 METHOD_CODES: dict[LoginMethod, int] = {m: i for i, m in enumerate(METHOD_ORDER)}
 
 
+def narrow(values, dtype):
+    """``values`` as ``dtype``, raising OverflowError where one does not fit.
+
+    ``astype`` and fancy-index stores wrap silently, so every batch
+    column narrowed into a 32-bit login log goes through here.
+    """
+    if values.size:
+        info = np.iinfo(dtype)
+        if values.min() < info.min or values.max() > info.max:
+            raise OverflowError(f"a login value does not fit {np.dtype(dtype)}")
+    return values.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class LoginEvent:
     """One successful login to a provider account."""
@@ -101,9 +115,9 @@ class LoginTelemetry:
         self._obs = obs
         self._log = obs.get_logger("provider.telemetry")
         self._accounts = accounts if accounts is not None else AccountTable()
-        self._rows = array("q")
-        self._times = array("q")
-        self._ips = array("Q")
+        self._rows = array("i")
+        self._times = array("I")
+        self._ips = array("I")
         self._methods = bytearray()
         self._last_collected: SimInstant | None = None
         self._lost_windows: list[tuple[SimInstant, SimInstant]] = []
@@ -125,9 +139,15 @@ class LoginTelemetry:
         self.record_row(row, event.time, event.ip.value, METHOD_CODES[event.method])
 
     def record_row(self, row: int, time: SimInstant, ip: int, method_code: int) -> None:
-        """Record one successful login of account ``row`` (in time order)."""
+        """Record one successful login of account ``row`` (in time order).
+
+        An instant or IP outside 32 bits raises OverflowError before any
+        column grows.
+        """
         if self._last_recorded is not None and time < self._last_recorded:
             raise ValueError("login events must be recorded in time order")
+        if (time | ip) >> 32:
+            raise OverflowError(f"login at {time} from {ip} does not fit 32 bits")
         self._rows.append(row)
         self._times.append(time)
         self._ips.append(ip)
@@ -140,8 +160,10 @@ class LoginTelemetry:
 
         The batch engine's append path: one ordering check and one
         counter bump for the whole batch instead of per event.  Columns
-        must be parallel numpy arrays: int64 rows, uint64 IPs (32-bit
-        values) and uint8 positions into :data:`METHOD_ORDER`.
+        must be parallel numpy integer arrays: rows, IPs and uint8
+        positions into :data:`METHOD_ORDER`.  They are narrowed to the
+        log's widths before any column grows; a row at or past 2**31,
+        or an instant or IP at or past 2**32, raises OverflowError.
         """
         n = len(rows)
         if not n:
@@ -150,9 +172,12 @@ class LoginTelemetry:
             raise ValueError("batch columns must be parallel")
         if self._last_recorded is not None and time < self._last_recorded:
             raise ValueError("login events must be recorded in time order")
-        self._rows.frombytes(rows.astype(np.int64, copy=False).tobytes())
-        self._times.extend(array("q", [time]) * n)
-        self._ips.frombytes(ips.astype(np.uint64, copy=False).tobytes())
+        rows = narrow(rows, np.int32)
+        ips = narrow(ips, np.uint32)
+        times = array("I", [time]) * n
+        self._rows.frombytes(rows.tobytes())
+        self._times.extend(times)
+        self._ips.frombytes(ips.tobytes())
         self._methods.extend(method_codes.astype(np.uint8, copy=False).tobytes())
         self._last_recorded = time
         self._obs.count("telemetry.logins_recorded", n)
@@ -202,7 +227,7 @@ class LoginTelemetry:
         """Log positions in ``[start, stop)`` whose row is monitored."""
         if start >= stop:
             return []
-        rows = np.frombuffer(self._rows, dtype=np.int64)[start:stop]
+        rows = np.frombuffer(self._rows, dtype=np.int32)[start:stop]
         monitored = np.frombuffer(self._accounts.monitored, dtype=np.uint8)
         return (np.flatnonzero(monitored[rows]) + start).tolist()
 

@@ -70,8 +70,8 @@ def render_ops_report(
     ``live_stats`` is the serve daemon's process-local gauge bundle
     (:attr:`~repro.service.daemon.ServiceRunResult.live_stats`): the
     batch engine's path mix, each live backpressure queue's accounting
-    (one section each), and provider login-state sizes.  Like cache
-    stats, it is live-only — saved journals cannot reproduce it.
+    (one section each), and provider login-state sizes and bytes.  Like
+    cache stats, it is live-only — saved journals cannot reproduce it.
     """
     counters = payload.get("counters", {})
     histograms = payload.get("histograms", {})
@@ -174,10 +174,11 @@ def render_ops_report(
                 title="Backpressure queue (live process, not journaled)",
                 align_right=(1,),
             ))
-        provider = live_stats.get("provider")
-        if provider:
-            provider_rows = [[name.replace("_", " "), value]
-                             for name, value in sorted(provider.items())]
+        provider_rows = [[name.replace("_", " "), value]
+                         for panel in ("provider", "provider_bytes")
+                         for name, value in sorted(
+                             (live_stats.get(panel) or {}).items())]
+        if provider_rows:
             sections.append(render_table(
                 ["login state", "size"], provider_rows,
                 title="Provider login state (live process, not journaled)",

@@ -107,8 +107,9 @@ class ServiceRunResult:
     stuffing_model: object | None = None
     #: Live process-local gauges read at loop exit: the engine path
     #: mix, each queued stream's queue accounting under its queue name
-    #: (``queue``, ``stuffing_queue``; None while off) and provider
-    #: state sizes.  Operator surface only — never journaled.
+    #: (``queue``, ``stuffing_queue``; None while off), provider state
+    #: sizes and the bytes its login-state columns hold
+    #: (``provider_bytes``).  Operator surface only — never journaled.
     live_stats: dict | None = None
 
     def exposed_attempts(self) -> list[AttemptRecord]:
@@ -393,6 +394,7 @@ class CampaignDaemon:
                 "engine": system.provider.batch_engine_stats(),
                 **lifecycle.queue_stats(),
                 "provider": system.provider.login_state_sizes(),
+                "provider_bytes": system.provider.login_state_bytes(),
             },
         )
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis.report import full_report, survey_ranks_for
+from repro.analysis.table4 import build_table4, render_table4
 from repro.cli import main
+from repro.store import build_world_store
 
 
 class TestFullReport:
@@ -40,6 +42,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table 4" in out
         assert "Not English" in out
+
+    def test_survey_matches_the_world_store_of_its_seed(self, tmp_path, capsys):
+        """`survey` reads the seed's prefix-closed specs, so it prints
+        the Table 4 that a world store of that seed gives."""
+        with build_world_store(tmp_path / "world", 41, 1500) as store:
+            expected = render_table4(build_table4(store, survey_ranks_for(1500)))
+        assert main(["survey", "--seed", "41", "--population", "1500"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

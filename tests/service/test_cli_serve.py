@@ -132,6 +132,23 @@ class TestServe:
         assert "Backpressure queue (live process, not journaled)" in out
         assert "Provider login state (live process, not journaled)" in out
 
+    def test_serve_report_shows_login_state_bytes(self, tmp_path, capsys):
+        """The login-state section gives the columns' bytes beside their
+        sizes: 16 an evidence-log entry, 13 a telemetry event, 25 a row."""
+        assert main(SERVE_ARGS + [
+            "--traffic-users", "40",
+            "--obs-out", str(tmp_path / "journal.jsonl"),
+        ]) == 0
+        out = capsys.readouterr().out
+        section = out.split("Provider login state (live process, not journaled)\n")[1]
+        lines = section.split("\n\n")[0].splitlines()[2:]  # past header and rule
+        rows = {label: int(value)
+                for label, value in (line.rsplit(None, 1) for line in lines)}
+        assert rows["evidence log bytes"] == 16 * rows["evidence log"] > 0
+        assert rows["telemetry bytes"] > 0
+        assert rows["telemetry bytes"] % 13 == 0
+        assert rows["row state bytes"] == 25 * rows["accounts"]
+
     def test_checkpoint_then_resume_reproduces_the_journal(self, tmp_path):
         reference = tmp_path / "reference.jsonl"
         assert main(SERVE_ARGS + ["--obs-out", str(reference)]) == 0
