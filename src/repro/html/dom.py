@@ -17,17 +17,17 @@ VOID_ELEMENTS = frozenset(
 class Node:
     """Base class for DOM nodes.
 
+    A node keeps no link to its parent, so a tree holds no reference
+    cycle and is freed by reference count when its last holder drops
+    it.  Ancestry is read top-down from the root instead (see
+    :func:`repro.html.forms.extract_form_model`).
+
     ``__slots__`` must be declared here too: a slotted subclass of a
     dict-bearing base still gets a per-instance ``__dict__``, which is
     exactly the memory overhead slots exist to avoid.
     """
 
-    __slots__ = ("parent",)
-
-    parent: "Element | None"
-
-    def __init__(self) -> None:
-        self.parent = None
+    __slots__ = ()
 
     def to_html(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -42,7 +42,6 @@ class TextNode(Node):
     __slots__ = ("text",)
 
     def __init__(self, text: str):
-        super().__init__()
         self.text = text
 
     def to_html(self) -> str:
@@ -50,7 +49,7 @@ class TextNode(Node):
         return _htmllib.escape(self.text, quote=False)
 
     def clone(self) -> "TextNode":
-        """A parentless copy of this text node."""
+        """A copy of this text node."""
         return TextNode(self.text)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -63,7 +62,6 @@ class Element(Node):
     __slots__ = ("tag", "attrs", "children")
 
     def __init__(self, tag: str, attrs: dict[str, str] | None = None):
-        super().__init__()
         self.tag = tag.lower()
         self.attrs: dict[str, str] = {
             name.lower(): value for name, value in (attrs or {}).items()
@@ -76,7 +74,6 @@ class Element(Node):
         """Append a child node (strings become text nodes)."""
         if isinstance(node, str):
             node = TextNode(node)
-        node.parent = self
         self.children.append(node)
         return node
 
@@ -131,13 +128,6 @@ class Element(Node):
                 return node
         return None
 
-    def find_by_id(self, element_id: str) -> "Element | None":
-        """Descendant with the given ``id``, or None."""
-        for node in self.iter():
-            if node.get("id") == element_id:
-                return node
-        return None
-
     def text_content(self) -> str:
         """Concatenated text of the subtree, whitespace-normalized."""
         parts: list[str] = []
@@ -153,27 +143,10 @@ class Element(Node):
                     continue
                 child._collect_text(parts)
 
-    def ancestors(self) -> Iterator["Element"]:
-        """This element's ancestors, nearest first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
-    def closest(self, tag: str) -> "Element | None":
-        """Nearest ancestor (or self) with ``tag``."""
-        wanted = tag.lower()
-        if self.tag == wanted:
-            return self
-        for ancestor in self.ancestors():
-            if ancestor.tag == wanted:
-                return ancestor
-        return None
-
     # -- copying -----------------------------------------------------------
 
     def clone(self) -> "Element":
-        """A structural deep copy of this subtree (parentless root).
+        """A structural deep copy of this subtree that shares no node with it.
 
         Much cheaper than re-parsing serialized HTML — no tokenizing,
         attribute regexes or entity decoding — which is what makes the
@@ -181,14 +154,9 @@ class Element(Node):
         still handing every caller a tree it may freely mutate.
         """
         copy = Element.__new__(Element)
-        copy.parent = None
         copy.tag = self.tag
         copy.attrs = dict(self.attrs)
-        copy.children = children = []
-        for child in self.children:
-            child_copy = child.clone()
-            child_copy.parent = copy
-            children.append(child_copy)
+        copy.children = [child.clone() for child in self.children]
         return copy
 
     # -- serialization -----------------------------------------------------

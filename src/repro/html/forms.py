@@ -6,6 +6,10 @@ text of any ``<label for=...>`` or wrapping label, and nearby text.
 :func:`extract_form_model` gathers all of that into a
 :class:`FormModel`, and :meth:`FormModel.serialize` turns filled values
 into the POST body following HTML form-submission semantics.
+
+DOM nodes keep no parent link, so a control's parent and wrapping label
+are read from the document root: one walk per extraction, which also
+collects the ``<label for=...>`` texts.
 """
 
 from __future__ import annotations
@@ -116,24 +120,40 @@ class FormModel:
         return payload
 
 
-def _label_index(root: Element) -> dict[str, str]:
-    """Map control id -> text of any ``<label for=id>``."""
+#: The tags :func:`extract_form_model` reads as form controls.
+_CONTROL_TAGS = ("input", "select", "textarea", "button")
+
+#: A control's parent and its nearest enclosing ``<label>``.
+_Context = tuple[Element | None, Element | None]
+
+
+def _index_document(root: Element) -> tuple[dict[str, str], dict[Element, _Context]]:
+    """One pre-order walk of ``root``.
+
+    Returns the text of every ``<label for=id>`` by id (a later label
+    wins) and, for every control, its parent and nearest enclosing
+    ``<label>``, which may wrap the whole form.
+    """
     labels: dict[str, str] = {}
-    for label in root.find_all("label"):
-        target = label.get("for")
-        if target:
-            labels[target] = label.text_content()
-    return labels
+    contexts: dict[Element, _Context] = {}
+    stack: list[tuple[Element, Element | None, Element | None]] = [(root, None, None)]
+    while stack:
+        node, parent, wrapper = stack.pop()
+        if node.tag == "label":
+            target = node.get("for")
+            if target:
+                labels[target] = node.text_content()
+            wrapper = node
+        elif node.tag in _CONTROL_TAGS:
+            contexts[node] = (parent, wrapper)
+        for child in reversed(node.children):
+            if isinstance(child, Element):
+                stack.append((child, node, wrapper))
+    return labels, contexts
 
 
-def _wrapping_label_text(control: Element) -> str:
-    wrapper = control.closest("label")
-    return wrapper.text_content() if wrapper else ""
-
-
-def _preceding_sibling_text(control: Element) -> str:
+def _preceding_sibling_text(control: Element, parent: Element | None) -> str:
     """Text immediately before the control inside its parent."""
-    parent = control.parent
     if parent is None:
         return ""
     texts: list[str] = []
@@ -164,11 +184,11 @@ def _select_options(control: Element) -> tuple[list[str], str]:
 
 
 def extract_form_model(root: Element, form: Element, base_url: str = "") -> FormModel:
-    """Build a :class:`FormModel` for ``form`` within document ``root``."""
-    labels = _label_index(root)
+    """Build a :class:`FormModel` for ``form``, which must lie within ``root``."""
+    labels, contexts = _index_document(root)
     fields: list[FormField] = []
     submit_controls: list[Element] = []
-    for control in form.find_all("input", "select", "textarea", "button"):
+    for control in form.find_all(*_CONTROL_TAGS):
         input_type = control.get("type").lower()
         if control.tag == "button" or input_type in ("submit", "image"):
             submit_controls.append(control)
@@ -180,8 +200,10 @@ def extract_form_model(root: Element, form: Element, base_url: str = "") -> Form
         if control.tag == "select":
             options, default_value = _select_options(control)
         maxlength_raw = control.get("maxlength")
-        maxlength = int(maxlength_raw) if maxlength_raw.isdigit() else None
+        # isdecimal, not isdigit: int() rejects superscripts like "²".
+        maxlength = int(maxlength_raw) if maxlength_raw.isdecimal() else None
         field_id = control.get("id")
+        parent, wrapper = contexts[control]
         fields.append(
             FormField(
                 element=control,
@@ -190,8 +212,8 @@ def extract_form_model(root: Element, form: Element, base_url: str = "") -> Form
                 name=control.get("name"),
                 field_id=field_id,
                 placeholder=control.get("placeholder"),
-                label_text=labels.get(field_id, "") or _wrapping_label_text(control),
-                nearby_text=_preceding_sibling_text(control),
+                label_text=labels.get(field_id, "") or (wrapper.text_content() if wrapper else ""),
+                nearby_text=_preceding_sibling_text(control, parent),
                 required=control.has("required"),
                 maxlength=maxlength,
                 options=options,

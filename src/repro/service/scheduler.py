@@ -11,7 +11,7 @@ epochs depends on wall clock, worker count or executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.campaign import RegistrationPolicy
 from repro.core.runner import check_execution
@@ -173,7 +173,6 @@ class EpochScheduler:
     """Epoch windows and staggered wave slices, purely from config."""
 
     config: ServiceConfig
-    _per_epoch: int = field(init=False, default=0)
 
     @property
     def horizon(self) -> SimInstant:
@@ -200,8 +199,3 @@ class EpochScheduler:
         cfg = self.config
         per = -(-len(sites) // cfg.epochs)  # ceil division
         return sites[epoch * per:(epoch + 1) * per]
-
-    def wave_positions(self, sites: list[RankedSite], epoch: int) -> int:
-        """Global position offset of this epoch's wave in the full list."""
-        per = -(-len(sites) // self.config.epochs)
-        return epoch * per

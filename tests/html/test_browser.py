@@ -1,8 +1,14 @@
 """Tests for the headless browser."""
 
+import contextlib
+import gc
+import sys
+
 import pytest
 
-from repro.html.browser import Browser, BrowserError
+from repro.html.browser import Browser, BrowserError, _parse_body
+from repro.html.dom import Element, Node
+from repro.html.forms import extract_form_model
 from repro.net.transport import HttpResponse
 
 
@@ -105,7 +111,6 @@ class TestParsedDomCache:
         assert second.dom.find_first("form").get("action") == "/register"
 
     def test_cached_tree_matches_uncached_parse(self, transport, site):
-        from repro.html.browser import _parse_body
         from repro.html.parser import parse_html
         from repro.perf import caching as _perf
 
@@ -116,14 +121,20 @@ class TestParsedDomCache:
         assert cached_cold.to_html() == plain.to_html()
         assert cached_warm.to_html() == plain.to_html()
 
-    def test_clone_reparents_children_to_the_clone(self):
+    def test_clone_shares_no_node_with_the_master(self):
         from repro.html.parser import parse_html
+
+        def nodes(element):
+            yield element
+            for child in element.children:
+                if isinstance(child, Element):
+                    yield from nodes(child)
+                else:
+                    yield child
 
         tree = parse_html("<div><p>x<span>y</span></p></div>")
         copy = tree.clone()
-        p = copy.find_first("p")
-        assert p.parent.tag == "div"
-        assert p.parent is not tree.find_first("div")
+        assert {id(node) for node in nodes(tree)}.isdisjoint(id(node) for node in nodes(copy))
         assert copy.to_html() == tree.to_html()
 
     def test_disabled_layer_bypasses_the_cache(self, transport, site):
@@ -139,3 +150,37 @@ class TestParsedDomCache:
             assert (_DOM_CACHE.hits, _DOM_CACHE.misses) == (hits, misses)
         finally:
             _perf.set_enabled(True)
+
+
+class TestAcyclicPages:
+    def test_pages_are_freed_by_reference_count(self, perf_off):
+        """Parsed, cached and cloned pages, and their forms, leave no cycle."""
+        with perf_off():
+            pass  # empties every cache, so the count sees only this test's garbage
+        gc.collect()
+        gc.disable()
+        debug = gc.get_debug()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        try:
+            for mode in (contextlib.nullcontext, perf_off):
+                with mode():
+                    doms = [_parse_body(HOMEPAGE) for _ in range(3)]
+                    doms.append(doms[0].clone())
+                    models = [
+                        extract_form_model(dom, form)
+                        for dom in doms
+                        for form in dom.find_all("form")
+                    ]
+                    assert len(models) == 4
+                    del doms, models
+            unreachable = gc.collect()
+            cyclic_nodes = sum(isinstance(obj, Node) for obj in gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic_nodes == 0
+        # A trace function written in Python, such as a line-coverage
+        # hook, leaves cycles of its own.
+        if sys.gettrace() is None:
+            assert unreachable == 0

@@ -26,24 +26,12 @@ class TestQueries:
         assert sample_tree().find_first("span").text_content() == "three"
         assert sample_tree().find_first("table") is None
 
-    def test_find_by_id(self):
-        assert sample_tree().find_by_id("p2").text_content() == "two"
-        assert sample_tree().find_by_id("missing") is None
-
     def test_text_content_normalizes_whitespace(self):
         node = el("div", None, "  a  ", el("b", None, " b "), " c ")
         assert node.text_content() == "a b c"
 
     def test_classes(self):
         assert sample_tree().classes == ["outer", "box"]
-
-    def test_ancestors_and_closest(self):
-        tree = sample_tree()
-        span = tree.find_first("span")
-        assert [a.tag for a in span.ancestors()] == ["section", "div"]
-        assert span.closest("div") is tree
-        assert span.closest("span") is span
-        assert span.closest("table") is None
 
 
 class TestMutation:

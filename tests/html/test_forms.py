@@ -41,6 +41,21 @@ class TestFieldExtraction:
         field = model.field_by_name("x")
         assert field.required
         assert field.maxlength == 14
+        # str.isdigit accepts a superscript two, which int() rejects.
+        assert model_from('<form><input name=y maxlength="²"></form>').fields[0].maxlength is None
+
+    def test_label_wrapping_the_form_is_found_from_the_root(self):
+        model = model_from(
+            "<label>Email <form action=/r><span>Phone</span><input name=ph>"
+            "<label>Pw <input type=password name=pw></label>"
+            "<select name=s><option>a</option></select></form></label>"
+        )
+        texts = {f.name: (f.label_text, f.nearby_text) for f in model.fields}
+        assert texts == {
+            "ph": ("Email Phone Pw a", "Phone"),
+            "pw": ("Pw", "Pw"),
+            "s": ("Email Phone Pw a", "Phone"),
+        }
 
     def test_select_options_and_default(self):
         model = model_from(

@@ -13,7 +13,7 @@ class TestBasicParsing:
         p = dom.find_first("p")
         assert p is not None
         assert p.text_content() == "hello"
-        assert p.parent.tag == "div"
+        assert p in dom.find_first("div").children
 
     def test_attributes_quoted_and_unquoted(self):
         dom = parse_html('<input type="text" name=email required>')

@@ -102,9 +102,3 @@ class TestEpochScheduler:
         waves = [scheduler.wave_sites(sites, e) for e in range(config.epochs)]
         assert [len(w) for w in waves] == [5, 5, 5, 2]
         assert [item for wave in waves for item in wave] == sites
-
-    def test_wave_positions_are_global_offsets(self):
-        config = make_config()
-        scheduler = EpochScheduler(config)
-        sites = list(range(17))
-        assert [scheduler.wave_positions(sites, e) for e in range(4)] == [0, 5, 10, 15]
