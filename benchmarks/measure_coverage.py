@@ -46,30 +46,52 @@ def collect_targets() -> dict[str, set[int]]:
     return targets
 
 
+def file_tracer(hits: set[int]):
+    """The local trace function of one source file: adds each line run.
+
+    The call event's line is the ``def`` line itself.
+    """
+
+    def line_tracer(frame, event, arg):
+        if event in ("call", "line"):
+            hits.add(frame.f_lineno)
+        return line_tracer
+
+    return line_tracer
+
+
+def make_tracer(prefix: str, executed: dict[str, set[int]]):
+    """The global trace function: line-traces the files in ``executed``.
+
+    Each file gets one :func:`file_tracer`, built at its first call and
+    reused for every later one.  (The line tracer returns itself, so
+    it is a reference cycle; one per call would leave that garbage to
+    the collector on every traced call.)
+    """
+    line_tracers = {}
+
+    def tracer(frame, event, arg):
+        filename = frame.f_code.co_filename
+        line_tracer = line_tracers.get(filename)
+        if line_tracer is None:
+            if not filename.startswith(prefix):
+                return None  # skip line-tracing outside src/repro entirely
+            hits = executed.get(filename)
+            if hits is None:
+                return None
+            line_tracer = line_tracers[filename] = file_tracer(hits)
+        return line_tracer(frame, event, arg)
+
+    return tracer
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
     pytest_args = argv or ["-q"]
     targets = collect_targets()
-    prefix = str(SRC_ROOT)
     executed: dict[str, set[int]] = {name: set() for name in targets}
-
-    def tracer(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(prefix):
-            return None  # skip line-tracing outside src/repro entirely
-        hits = executed.get(filename)
-        if hits is None:
-            return None
-
-        def line_tracer(frame, event, arg):
-            if event == "line":
-                hits.add(frame.f_lineno)
-            return line_tracer
-
-        if event == "call":
-            hits.add(frame.f_lineno)  # the def line itself
-        return line_tracer
+    tracer = make_tracer(str(SRC_ROOT), executed)
 
     threading.settrace(tracer)
     sys.settrace(tracer)

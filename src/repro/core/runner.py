@@ -33,7 +33,7 @@ any worker count and executor.
 Scale-out layer
 ---------------
 
-Three optimizations ride on top, none of which may move a bit of
+Four optimizations ride on top, none of which may move a bit of
 merged output:
 
 - **Warm spec table** (:mod:`repro.perf.warm`): one prefix-closed
@@ -51,12 +51,18 @@ merged output:
   ``pool.map`` barrier, so the merge is overlapped with the slowest
   shard and a worker failure surfaces immediately.  The fold is
   position-keyed, so arrival order still cannot affect output.
+- **Parent work beside the pool**: the process backend calls
+  :meth:`CampaignRunner.execute`'s ``meanwhile`` in the parent once
+  every shard is submitted (the serve daemon runs its service window
+  there); the serial backend calls it after the merge, so serial
+  stays the reference order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.campaign import AttemptRecord, CampaignStats, RegistrationCampaign, RegistrationPolicy
@@ -463,6 +469,7 @@ class CampaignRunner:
         *,
         sites_count: int | None = None,
         build_journal: bool = True,
+        meanwhile: Callable[[], object] | None = None,
     ) -> CampaignRunResult:
         """Dispatch prepared shard plans and merge their results.
 
@@ -470,20 +477,28 @@ class CampaignRunner:
         worker processes (and their warm spec tables) serve every
         call.  ``build_journal=False`` skips per-call journal assembly
         for callers that merge observations across epochs themselves.
+
+        ``meanwhile`` is called once, in this process: on the pool
+        after every plan is submitted and before any result is decoded
+        (a shard failure surfaces after it returns; if it raises, the
+        queued shards are cancelled), serially after the merge.
         """
         if sites_count is None:
             sites_count = sum(len(plan.sites) for plan in plans)
         merger = ShardResultMerger()
         wire_bytes: dict[int, int] = {}
+        pooled = self.executor == "process" and self.workers > 1 and len(plans) > 1
         began = time.perf_counter()
-        if self.executor == "serial" or self.workers == 1 or len(plans) <= 1:
+        if pooled:
+            self._run_pooled(plans, merger, wire_bytes, meanwhile)
+        else:
             for plan in plans:
                 merger.add(run_shard(plan))
-        else:
-            self._run_pooled(plans, merger, wire_bytes)
-        wall = time.perf_counter() - began
         shard_results = merger.results
         attempts, stats, telemetry, fault_report = merger.finish()
+        if meanwhile is not None and not pooled:
+            meanwhile()
+        wall = time.perf_counter() - began
         journal = (
             self._build_journal(sites_count, shard_results)
             if self.obs_enabled and build_journal
@@ -546,14 +561,17 @@ class CampaignRunner:
         plans: list[ShardPlan],
         merger: ShardResultMerger,
         wire_bytes: dict[int, int],
+        meanwhile: Callable[[], object] | None,
     ) -> None:
         """Fan shards out and fold results in as they complete.
 
         No barrier: each result merges the moment its future resolves
         (the position-keyed merger makes completion order irrelevant),
         and the first shard failure propagates immediately — remaining
-        futures are cancelled rather than drained.  Inside a ``with``
-        block the pool outlives the call; outside, it is shut down here.
+        futures are cancelled rather than drained.  ``meanwhile`` runs
+        between the last submit and the first collection.  Inside a
+        ``with`` block the pool outlives the call; outside, it is shut
+        down here.
         """
         pool = self._pool or concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers
@@ -561,6 +579,8 @@ class CampaignRunner:
         try:
             futures = {pool.submit(run_shard_wire, plan): plan for plan in plans}
             try:
+                if meanwhile is not None:
+                    meanwhile()
                 for future in concurrent.futures.as_completed(futures):
                     blob = future.result()
                     wire_bytes[futures[future].shard_index] = len(blob)

@@ -20,7 +20,8 @@ to the same bytes as an uninterrupted run.  The slow CLI matrix test
 (``tests/integration/test_cli_matrix.py``) compares the file across
 executors, exactly like the journal.
 
-Wall-clock profiling — per-epoch dispatch seconds, logins/s,
+Wall-clock profiling — per epoch, the crawl dispatch's seconds and
+the service window's seconds, events, logins and logins/s, and
 process-local cache hit rates (LRU caches, the world store's page
 cache, the warm spec table) — is execution-shaped and therefore rides
 a clearly separated side channel: ``<flight>.wall`` next to the flight
@@ -163,14 +164,8 @@ class ServiceFlightProbe:
         if grown > 0:
             self.recorder.note(now, kind, **{attribute: grown})
 
-    def snapshot(self, epoch: int, epoch_faults=None) -> dict:
-        """The sim-derived snapshot after ``epoch`` completed.
-
-        ``epoch_faults`` is the completed epoch's merged crawl
-        :class:`~repro.faults.report.FaultReport` (replayed epochs
-        decode to the identical report, so fault notables survive
-        resume byte-for-byte).
-        """
+    def snapshot(self, epoch: int) -> dict:
+        """The sim-derived snapshot of ``epoch``, at its window start."""
         system = self.system
         now = system.clock.now()
         window = self.scheduler.window(epoch)
@@ -214,11 +209,6 @@ class ServiceFlightProbe:
         self._note_growth(now, "lockout", login_state["locked_rows"], "rows")
         self._note_growth(now, "service.faults",
                           sum(system.fault_report.as_dict().values()), "count")
-        if epoch_faults is not None:
-            crawl_faults = sum(epoch_faults.as_dict().values())
-            if crawl_faults > 0:
-                self.recorder.note(now, "crawl.faults", count=crawl_faults,
-                                   epoch=epoch)
 
         metrics = system.obs.metrics
         return {
@@ -244,6 +234,21 @@ class ServiceFlightProbe:
             "counters": metrics.counters_dict(),
             "histograms": metrics.histograms_dict(),
         }
+
+    def note_crawl_faults(self, snapshot: dict, epoch_faults) -> None:
+        """Note the faults of the snapshot's epoch crawl, if any.
+
+        ``epoch_faults`` is that crawl's merged
+        :class:`~repro.faults.report.FaultReport` (replayed epochs
+        decode to the identical report, so the notable survives resume
+        byte-for-byte).  The crawl merges after the epoch's service
+        window has moved the clock on, so the note takes the
+        snapshot's sim time.
+        """
+        crawl_faults = sum(epoch_faults.as_dict().values())
+        if crawl_faults > 0:
+            self.recorder.note(snapshot["sim_time"], "crawl.faults",
+                               count=crawl_faults, epoch=snapshot["epoch"])
 
 
 def queue_panels(panels: dict) -> list[tuple[tuple[str, ...], dict]]:

@@ -29,6 +29,12 @@ Two properties carry the contract:
 Hence the resume guarantee: a daemon killed at any epoch boundary and
 restarted from its checkpoint finishes with a journal **byte-identical**
 to an uninterrupted run's, for any worker count on either side.
+
+The same independence lets the two overlap: each epoch's service
+window is the ``meanwhile`` of that epoch's
+:meth:`CampaignRunner.execute`, so it runs here while the pool's
+workers crawl.  What a window's start records is taken before the
+dispatch, so no byte depends on the overlap.
 """
 
 from __future__ import annotations
@@ -117,6 +123,25 @@ class ServiceRunResult:
         return [a for a in self.attempts if a.exposed]
 
 
+@dataclass
+class _ServiceWindow:
+    """One epoch's service window: fires every service event up to
+    ``until`` and keeps what the ``.wall`` side channel reports of it."""
+
+    lifecycle: AccountLifecycle
+    until: SimInstant
+    events: int = 0
+    logins: int = 0
+    seconds: float = 0.0
+
+    def __call__(self) -> None:
+        logins = self.lifecycle.stats.traffic_logins
+        began = time.perf_counter()
+        self.events = self.lifecycle.system.queue.run_until(self.until)
+        self.seconds = time.perf_counter() - began
+        self.logins = self.lifecycle.stats.traffic_logins - logins
+
+
 class CampaignDaemon:
     """Drives the epoch loop: crawl waves, service events, checkpoints.
 
@@ -124,9 +149,10 @@ class CampaignDaemon:
     the whole loop, serves every epoch from one pool, so worker
     processes keep their warm spec tables across dispatches.
     :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
-    lets the in-flight epoch finish, checkpoints it, and exits the loop
-    — a *graceful* stop; a hard kill merely loses epochs after the last
-    checkpoint, which a resume re-runs from their pure plans.
+    lets the in-flight epoch and its service window finish, checkpoints
+    the epoch, and exits the loop — a *graceful* stop; a hard kill
+    merely loses epochs after the last checkpoint, which a resume
+    re-runs from their pure plans.
     """
 
     def __init__(
@@ -259,6 +285,9 @@ class CampaignDaemon:
         saved_epochs = resume.epochs_completed if resume is not None else 0
         interrupted = False
 
+        # Events due at the start fire before epoch 0's wave; each
+        # epoch's window then runs up to the next one's start.
+        service_events = system.queue.run_until(cfg.start)
         with self._build_runner() as runner:
             for epoch in range(cfg.epochs):
                 replay = epoch < checkpoint.epochs_completed
@@ -268,22 +297,39 @@ class CampaignDaemon:
                 window = self.scheduler.window(epoch)
                 wave = self.scheduler.wave_sites(sites, epoch)
 
-                # Service events due before the wave opens fire first —
-                # probes, churn and ingestion are interleaved *between*
-                # crawls exactly as a live deployment would see them.
-                events_before = system.queue.run_until(window[0])
+                # Taken at the window start, before the crawl, since
+                # none of it reads crawl results.  Journaled — must not
+                # mention replay/checkpoint state, which may differ
+                # between a resumed and a fresh run.
+                log.info("epoch complete", epoch=epoch, sites=len(wave))
+                if probe is not None:
+                    # Taken for replayed epochs too: a resumed daemon's
+                    # flight file re-covers epochs 0..k and ends up
+                    # byte-identical to an uninterrupted run's (the
+                    # snapshot reads only replay-invariant state).
+                    snapshot = probe.snapshot(epoch)
+                    statuses = health.evaluate(snapshot)
+                    for status in statuses:
+                        health_log.info(
+                            f"health.{status.rule}",
+                            status=status.status,
+                            **status.detail_dict(),
+                        )
 
-                epoch_started = time.perf_counter()
+                service = _ServiceWindow(lifecycle, window[1])
+                dispatch_seconds = 0.0
                 if replay:
                     shard_results = checkpoint.epoch_results[epoch]
+                    service()
                 else:
                     plans = runner.plan(wave, epoch=epoch, start=window[0])
                     dispatch = runner.execute(
-                        plans, sites_count=len(wave), build_journal=False
+                        plans, sites_count=len(wave), build_journal=False,
+                        meanwhile=service,
                     )
                     shard_results = dispatch.shard_results
+                    dispatch_seconds = dispatch.wall_seconds
                     checkpoint.record_epoch(shard_results)
-                dispatch_seconds = time.perf_counter() - epoch_started
 
                 epoch_attempts, epoch_stats, epoch_telemetry, epoch_faults = (
                     merge_shard_results(shard_results)
@@ -316,28 +362,15 @@ class CampaignDaemon:
                         sites=len(wave),
                         attempts=len(epoch_attempts),
                         exposed=sum(1 for a in epoch_attempts if a.exposed),
-                        service_events=events_before,
+                        service_events=service_events,
                         replayed=replay,
                         checkpointed=checkpointed,
                     )
                 )
-                # Journaled — must not mention replay/checkpoint state,
-                # which may differ between a resumed and a fresh run.
-                log.info("epoch complete", epoch=epoch, sites=len(wave))
+                service_events = service.events
 
                 if probe is not None:
-                    # Flushed for replayed epochs too: a resumed
-                    # daemon's flight file re-covers epochs 0..k and
-                    # ends up byte-identical to an uninterrupted run's
-                    # (the snapshot reads only replay-invariant state).
-                    snapshot = probe.snapshot(epoch, epoch_faults)
-                    statuses = health.evaluate(snapshot)
-                    for status in statuses:
-                        health_log.info(
-                            f"health.{status.rule}",
-                            status=status.status,
-                            **status.detail_dict(),
-                        )
+                    probe.note_crawl_faults(snapshot, epoch_faults)
                     recorder.flush(snapshot, statuses)
                     # Wall-clock profiling: side channel only, and the
                     # replay flag may legitimately differ across
@@ -346,24 +379,20 @@ class CampaignDaemon:
                         "epoch": epoch,
                         "replayed": replay,
                         "dispatch_seconds": round(dispatch_seconds, 6),
-                        "service_events": events_before,
+                        "service_seconds": round(service.seconds, 6),
+                        "service_events": service.events,
+                        "traffic_logins": service.logins,
                         "logins_per_second": (
-                            round(
-                                lifecycle.stats.traffic_logins / dispatch_seconds,
-                                1,
-                            )
-                            if dispatch_seconds > 0
+                            round(service.logins / service.seconds, 1)
+                            if service.seconds > 0
                             else None
                         ),
                         "caches": cache_stats(),
                     })
 
-        if not interrupted:
-            # Drain the service tail: every remaining probe, churn and
-            # ingestion event up to the horizon, then retire whatever
-            # recurring chains survive (cancel is exercised on every
-            # graceful shutdown, not just interrupted ones).
-            system.queue.run_until(self.scheduler.horizon)
+        # The last window ran to the horizon; retire whatever recurring
+        # chains survive (cancel is exercised on every graceful
+        # shutdown, not just interrupted ones).
         lifecycle.cancel_all()
 
         stats = sum_counter_dataclasses(CampaignStats, stats_parts)

@@ -1,5 +1,8 @@
 """Sharded campaign execution: partitioning, merging, determinism."""
 
+import concurrent.futures
+import multiprocessing
+
 import pytest
 
 from repro.core.runner import (
@@ -10,6 +13,7 @@ from repro.core.runner import (
     run_shard,
 )
 from repro.core.substrate import WorldShard
+from repro.perf import wire
 from repro.util.rngtree import RngTree
 
 SEED = 523
@@ -254,3 +258,112 @@ class TestScaleOutExecutor:
         )
         with pytest.raises(Exception, match="outside population"):
             runner.run(sites)
+
+
+class TestMeanwhile:
+    """``execute(meanwhile=f)``: parent work beside the shards."""
+
+    @staticmethod
+    def watch_pool(runner, monkeypatch, events):
+        """Record each submit and decode in ``events``; return the futures."""
+        futures = []
+        submit = runner._pool.submit
+
+        def recorded_submit(*args):
+            events.append("submit")
+            futures.append(submit(*args))
+            return futures[-1]
+
+        def recorded_decode(blob, decode=wire.decode_shard_bytes):
+            events.append("decode")
+            return decode(blob)
+
+        monkeypatch.setattr(runner._pool, "submit", recorded_submit)
+        monkeypatch.setattr(wire, "decode_shard_bytes", recorded_decode)
+        return futures
+
+    def test_pool_calls_it_once_after_every_submit_and_before_any_decode(
+        self, sites, monkeypatch
+    ):
+        reference = CampaignRunner(
+            seed=SEED, population_size=POPULATION, shards=4, obs_enabled=True,
+        ).run(sites)
+        events = []
+        with CampaignRunner(
+            seed=SEED, population_size=POPULATION, shards=4,
+            workers=2, executor="process", obs_enabled=True,
+        ) as runner:
+            self.watch_pool(runner, monkeypatch, events)
+            result = runner.execute(
+                runner.plan(sites), meanwhile=lambda: events.append("meanwhile")
+            )
+        assert events == ["submit"] * 4 + ["meanwhile"] + ["decode"] * 4
+        assert fingerprint(result) == fingerprint(reference)
+        assert result.stats == reference.stats
+        assert result.telemetry == reference.telemetry
+        assert result.journal.to_jsonl() == reference.journal.to_jsonl()
+
+    def test_serial_calls_it_once_after_the_merge(self, sites, monkeypatch):
+        reference = CampaignRunner(
+            seed=SEED, population_size=POPULATION, shards=4,
+        ).run(sites)
+        events = []
+
+        def recorded_run_shard(plan, run=run_shard):
+            events.append("shard")
+            return run(plan)
+
+        def recorded_finish(merger, finish=ShardResultMerger.finish):
+            events.append("merge")
+            return finish(merger)
+
+        monkeypatch.setattr("repro.core.runner.run_shard", recorded_run_shard)
+        monkeypatch.setattr(ShardResultMerger, "finish", recorded_finish)
+        runner = CampaignRunner(seed=SEED, population_size=POPULATION, shards=4)
+        result = runner.execute(
+            runner.plan(sites), meanwhile=lambda: events.append("meanwhile")
+        )
+        assert events == ["shard"] * 4 + ["merge", "meanwhile"]
+        assert fingerprint(result) == fingerprint(reference)
+        assert result.stats == reference.stats
+
+    def test_shard_failure_surfaces_after_it_returns(self, sites, monkeypatch):
+        # Every shard of a 10-site population raises; the parent work
+        # waits until all of them have, so each fails while it runs.
+        events = []
+        with pytest.raises(Exception, match="outside population"):
+            with CampaignRunner(
+                seed=SEED, population_size=10, shards=4,
+                workers=2, executor="process",
+            ) as runner:
+                futures = self.watch_pool(runner, monkeypatch, events)
+
+                def meanwhile():
+                    _done, running = concurrent.futures.wait(futures, timeout=120)
+                    assert not running
+                    assert all(f.exception() is not None for f in futures)
+                    events.append("meanwhile")
+
+                runner.execute(runner.plan(sites), meanwhile=meanwhile)
+        assert events == ["submit"] * 4 + ["meanwhile"]
+        assert multiprocessing.active_children() == []
+
+    def test_its_failure_cancels_the_queued_shards(self, sites, monkeypatch):
+        events = []
+
+        def meanwhile():
+            raise RuntimeError("meanwhile failed")
+
+        with pytest.raises(RuntimeError, match="meanwhile failed"):
+            with CampaignRunner(
+                seed=SEED, population_size=POPULATION, shards=8,
+                workers=2, executor="process",
+            ) as runner:
+                futures = self.watch_pool(runner, monkeypatch, events)
+                runner.execute(runner.plan(sites), meanwhile=meanwhile)
+        assert events == ["submit"] * 8
+        # The pool hands a shard to a worker only when one frees up, so
+        # some were still queued; without the cancel they would all run.
+        assert any(f.cancelled() for f in futures)
+        assert all(f.done() for f in futures)
+        assert multiprocessing.active_children() == []

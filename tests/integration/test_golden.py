@@ -9,6 +9,9 @@ SHA-256 pins that any refactor must leave alone:
   recorder on, so the journaled ``health.*`` verdicts are part of the
   hashed bytes; the same run's flight file is pinned beside it, the
   only check on the stuffing panel's bytes;
+- the same two hashes for a three-epoch ``serve`` run under the
+  ``moderate`` fault profile, whose flight file holds a
+  ``crawl.faults`` notable for every epoch;
 - the stdout of ``repro pilot --scale 1.0 --seed 2017``, the full-scale
   reference run that EXPERIMENTS.md reports.  It takes about a minute,
   so it is marked ``slow``.  It also renders six of EXPERIMENTS.md's
@@ -38,6 +41,8 @@ import pytest
 
 from repro.cli import main
 from repro.crawler.fields import _classify_cached
+from repro.faults.plan import FaultPlan
+from repro.obs.live import read_flight
 from repro.perf import caching as _perf
 from repro.service.daemon import CampaignDaemon
 from repro.service.scheduler import ServiceConfig
@@ -46,6 +51,8 @@ from repro.util.timeutil import DAY
 PILOT_SHA256 = "04e133241ec25ab79b441d1a9865024d6ead4474712ee9698f52ef18158ab865"
 SERVE_SHA256 = "b21e7ba7b815f664e2b7e206c5f9607bc6d1688b9d6ba5ee5586b9e788dc37be"
 FLIGHT_SHA256 = "40ae387c0248bb2e9a3b5c9dae43322ab358ee728c7c725c1ae0b815c601f1e5"
+FAULTED_SERVE_SHA256 = "2bd77aa8051d494c6d800a3425d5b261860165e2b5dc77cf1478f686bab2b00a"
+FAULTED_FLIGHT_SHA256 = "7d24e8c2efad79768ce63e04e0955a2897acef60cc5d786f668c5895e4c17303"
 FULL_SCALE_SHA256 = "52fca1bd6af9d7ce259fdda700296177ce02b3108913d88fe26e1538f325c2f6"
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
@@ -95,27 +102,49 @@ def test_pilot_report_is_pinned(perf_layer):
         assert not any(hits.values()), f"a cache served hits while off: {hits}"
 
 
-def test_serve_journal_and_detections_are_pinned(tmp_path):
+def pinned_serve_run(tmp_path, **config):
+    """A small serve run: its journal, pinned digest and flight file."""
     config = ServiceConfig(
         seed=7,
         population_size=400,
         top=40,
         shards=4,
-        epochs=2,
-        epoch_length=30 * DAY,
         traffic_users=2000,
         traffic_logins_per_day=3.0,
-        stuffing_interval=11 * DAY,
-        stuffing_site_density=0.1,
+        **config,
     )
     flight = tmp_path / "flight.jsonl"
     result = CampaignDaemon(config, flight_path=flight).run()
     journal = result.journal.to_jsonl()
-    assert '"health.' in journal
     digest = hashlib.sha256(journal.encode("utf-8"))
     digest.update(result.detection_digest.encode("ascii"))
-    assert digest.hexdigest() == SERVE_SHA256
+    return journal, digest.hexdigest(), flight
+
+
+def test_serve_journal_and_detections_are_pinned(tmp_path):
+    journal, digest, flight = pinned_serve_run(
+        tmp_path,
+        epochs=2,
+        epoch_length=30 * DAY,
+        stuffing_interval=11 * DAY,
+        stuffing_site_density=0.1,
+    )
+    assert '"health.' in journal
+    assert digest == SERVE_SHA256
     assert hashlib.sha256(flight.read_bytes()).hexdigest() == FLIGHT_SHA256
+
+
+def test_faulted_serve_journal_and_flight_are_pinned(tmp_path):
+    _journal, digest, flight = pinned_serve_run(
+        tmp_path,
+        epochs=3,
+        epoch_length=20 * DAY,
+        fault_plan=FaultPlan.from_profile("moderate", seed=3),
+    )
+    assert digest == FAULTED_SERVE_SHA256
+    notable = read_flight(flight)["snapshots"][-1]["notable"]
+    assert [n["epoch"] for n in notable if n["kind"] == "crawl.faults"] == [0, 1, 2]
+    assert hashlib.sha256(flight.read_bytes()).hexdigest() == FAULTED_FLIGHT_SHA256
 
 
 # -- the full-scale pin and EXPERIMENTS.md's tables -----------------------------

@@ -1,5 +1,9 @@
 """Tests for the campaign daemon: epochs, journal identity, stop."""
 
+import json
+
+import pytest
+
 from repro.service.daemon import CampaignDaemon
 from repro.service.scheduler import ServiceConfig
 from repro.util.timeutil import DAY
@@ -74,6 +78,33 @@ class TestEpochLoop:
         ).run()
         assert pooled.journal.to_jsonl() == serial.journal.to_jsonl()
         assert pooled.detection_digest == serial.detection_digest
+
+
+class TestWallSideChannel:
+    def test_window_logins_sum_to_the_run_total(self, tmp_path):
+        flight = tmp_path / "flight.jsonl"
+        result = CampaignDaemon(
+            make_config(traffic_users=500, traffic_logins_per_day=2.0),
+            flight_path=flight,
+        ).run()
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "flight.jsonl.wall").read_text().splitlines()
+        ]
+        assert [r["epoch"] for r in records] == [0, 1, 2]
+        # Each record covers its epoch's window; the last one runs to
+        # the horizon, so no login falls outside every record.
+        assert all(r["traffic_logins"] > 0 for r in records)
+        assert sum(r["traffic_logins"] for r in records) == result.lifecycle.traffic_logins
+        for r in records:
+            assert r["dispatch_seconds"] >= r["service_seconds"] > 0
+            assert r["logins_per_second"] == pytest.approx(
+                r["traffic_logins"] / r["service_seconds"], rel=1e-3
+            )
+        # The window's events are the next epoch's "Svc events".
+        assert [r["service_events"] for r in records[:-1]] == [
+            r.service_events for r in result.reports[1:]
+        ]
 
 
 class TestGracefulStop:

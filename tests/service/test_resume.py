@@ -15,6 +15,7 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.service.checkpoint import load_checkpoint
 from repro.service.daemon import CampaignDaemon
+from repro.service.lifecycle import AccountLifecycle
 from repro.service.scheduler import ServiceConfig
 from repro.util.timeutil import DAY
 
@@ -161,6 +162,52 @@ class TestKillMatrixFast:
         # and after the final epoch.
         assert [r.checkpointed for r in result.reports] == [False, True, True]
         assert load_checkpoint(path, config).epochs_completed == 3
+
+
+class TestStopInsideTheServiceWindow:
+    """SIGTERM lands while an epoch's service window runs beside its crawl."""
+
+    @pytest.mark.parametrize("stop_epoch", [0, 1])
+    @pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "process")])
+    def test_checkpoints_the_epoch_and_resumes_to_the_same_bytes(
+        self, tmp_path, monkeypatch, stop_epoch, workers, executor
+    ):
+        config = make_config(workers=workers, executor=executor)
+        reference = CampaignDaemon(config, flight_path=tmp_path / "ref.jsonl").run()
+
+        checkpoint_path = tmp_path / "svc.ckpt"
+        flight_path = tmp_path / "flight.jsonl"
+        daemon = CampaignDaemon(
+            config, checkpoint_path=checkpoint_path, flight_path=flight_path
+        )
+        start, end = daemon.scheduler.window(stop_epoch)
+        probe = AccountLifecycle._probe
+
+        def probe_then_stop(lifecycle):
+            # Mid-window, where a SIGTERM handler would most often run.
+            probe(lifecycle)
+            if start < lifecycle.system.clock.now() <= end:
+                daemon.request_stop()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(AccountLifecycle, "_probe", probe_then_stop)
+            interrupted = daemon.run()
+        assert interrupted.interrupted
+        assert interrupted.journal is None
+        assert interrupted.epochs_completed == stop_epoch + 1
+        assert interrupted.reports[-1].checkpointed
+        # The stopped epoch's window ran to its end.
+        assert interrupted.lifecycle.probes == (end - config.start) // config.probe_interval
+
+        checkpoint = load_checkpoint(checkpoint_path, config)
+        assert checkpoint.epochs_completed == stop_epoch + 1
+        resumed = CampaignDaemon(
+            config, checkpoint_path=checkpoint_path, flight_path=flight_path
+        ).run(resume=checkpoint)
+        assert not resumed.interrupted
+        assert resumed.journal.to_jsonl() == reference.journal.to_jsonl()
+        assert resumed.detection_digest == reference.detection_digest
+        assert flight_path.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
 
 @pytest.mark.slow
